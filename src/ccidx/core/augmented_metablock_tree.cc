@@ -136,15 +136,12 @@ AugmentedMetablockTree::BuildNode(Pager* pager, PointGroup group,
     own = std::move(part->top);
 
     std::vector<ChildEntry> child_entries;
-    std::vector<Point> left_union;
+    TopYSet left(b2);  // TS of the next child: top B^2 of its left siblings
     for (PointGroup& sub : part->children) {
       auto child = BuildNode(pager, std::move(sub), branching);
       CCIDX_RETURN_IF_ERROR(child.status());
-      if (!left_union.empty()) {
-        std::vector<Point> ts = left_union;
-        std::sort(ts.begin(), ts.end(), DescY);
-        if (ts.size() > b2) ts.resize(b2);
-        auto head = WriteDescYChain(pager, std::move(ts));
+      if (!left.points().empty()) {
+        auto head = WriteDescYChain(pager, left.points());
         CCIDX_RETURN_IF_ERROR(head.status());
         child->ctrl.ts_head = *head;
       }
@@ -153,8 +150,7 @@ AugmentedMetablockTree::BuildNode(Pager* pager, PointGroup group,
       child_entries.push_back({child->ctrl.sub_xlo, child->ctrl.node_ymax,
                                child->control_page});
       ctrl.desc_ymax = std::max(ctrl.desc_ymax, child->ctrl.node_ymax);
-      left_union.insert(left_union.end(), child->own_points.begin(),
-                        child->own_points.end());
+      left.Add(child->own_points);
     }
     auto ids = io.WriteChain<ChildEntry>(child_entries);
     CCIDX_RETURN_IF_ERROR(ids.status());
@@ -305,7 +301,8 @@ Status AugmentedMetablockTree::TsReorganizeChildren(Control* ctrl) {
   std::vector<ChildEntry> children;
   CCIDX_RETURN_IF_ERROR(
       io.ReadChain<ChildEntry>(ctrl->children_head, &children));
-  std::vector<Point> left_union;
+  TopYSet left(b2);
+  std::vector<Point> stored;
   for (size_t i = 0; i < children.size(); ++i) {
     Control child;
     CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &child));
@@ -313,18 +310,17 @@ Status AugmentedMetablockTree::TsReorganizeChildren(Control* ctrl) {
       CCIDX_RETURN_IF_ERROR(io.FreeChain(child.ts_head));
       child.ts_head = kInvalidPageId;
     }
-    if (i > 0 && !left_union.empty()) {
-      std::vector<Point> ts = left_union;
-      std::sort(ts.begin(), ts.end(), DescY);
-      if (ts.size() > b2) ts.resize(b2);
-      auto head = WriteDescYChain(pager_, std::move(ts));
+    if (!left.points().empty()) {
+      auto head = WriteDescYChain(pager_, left.points());
       CCIDX_RETURN_IF_ERROR(head.status());
       child.ts_head = *head;
     }
     CCIDX_RETURN_IF_ERROR(WriteControl(pager_, children[i].control, child));
     // TS covers points *stored in* the sibling: organized + buffered.
-    CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(child.horiz_head, &left_union));
-    CCIDX_RETURN_IF_ERROR(ReadUpdatePoints(child, &left_union));
+    stored.clear();
+    CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(child.horiz_head, &stored));
+    CCIDX_RETURN_IF_ERROR(ReadUpdatePoints(child, &stored));
+    left.Add(stored);
   }
   return ClearTd(ctrl);
 }
@@ -613,15 +609,60 @@ Status AugmentedMetablockTree::Delete(const Point& p, bool* found) {
   *found = false;
   if (root_ == kInvalidPageId || p.y < p.x) return Status::OK();
   if (tombstones_.Contains(p)) return Status::OK();  // already dead
-  // Membership probe: the diagonal query anchored at the point's own y
-  // contains it; stop at the first exact match. Read-only — a device
-  // failure here leaves the tree untouched.
+  // Membership probe: a directed descent along p.x's routing path.
+  // Read-only — a device failure here leaves the tree untouched.
   bool exists = false;
-  ExactMatchSink<Point> finder(p, &exists);
-  CCIDX_RETURN_IF_ERROR(QueryRaw(DiagonalQuery{p.y}, &finder));
+  CCIDX_RETURN_IF_ERROR(Locate(root_, p, &exists));
   if (!exists) return Status::OK();
   *found = true;
   return DeleteKnownLocked(p);
+}
+
+Status AugmentedMetablockTree::Locate(PageId id, const Point& p,
+                                      bool* found) const {
+  Control ctrl;
+  CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
+  PageIo io(pager_);
+  auto holds = [&](PageId page) -> Status {
+    auto view = io.ViewRecords<Point>(page);
+    CCIDX_RETURN_IF_ERROR(view.status());
+    *found = std::find(view->records.begin(), view->records.end(), p) !=
+             view->records.end();
+    return Status::OK();
+  };
+  if (ctrl.update_count > 0 && p.y <= ctrl.update_ymax) {
+    CCIDX_RETURN_IF_ERROR(holds(ctrl.update_page));
+    if (*found) return Status::OK();
+  }
+  if (ctrl.num_points > 0 && p.x >= ctrl.bbox_xmin &&
+      p.x <= ctrl.bbox_xmax && p.y >= ctrl.bbox_ymin &&
+      p.y <= ctrl.bbox_ymax) {
+    // Own points ascend by x across the vertical blocks; an x tie may
+    // span several of them.
+    std::vector<VerticalBlock> index;
+    CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager_, ctrl.vindex_head, &index));
+    for (const VerticalBlock& blk : index) {
+      if (blk.xlo > p.x) break;
+      if (blk.xhi < p.x) continue;
+      CCIDX_RETURN_IF_ERROR(holds(blk.page));
+      if (*found) return Status::OK();
+    }
+  }
+  if (ctrl.num_children == 0 || ctrl.desc_ymax < p.y) return Status::OK();
+  std::vector<ChildEntry> children;
+  CCIDX_RETURN_IF_ERROR(
+      io.ReadChain<ChildEntry>(ctrl.children_head, &children));
+  // Points reach a child by RouteChild, but a bulk build or a leaf split
+  // may leave an x tie on both sides of a child boundary: child i - 1 can
+  // hold p.x too when child i starts exactly at p.x.
+  for (size_t i = RouteChild(children, p.x) + 1; i-- > 0;) {
+    if (children[i].node_ymax >= p.y) {
+      CCIDX_RETURN_IF_ERROR(Locate(children[i].control, p, found));
+      if (*found) return Status::OK();
+    }
+    if (children[i].sub_xlo != p.x) break;
+  }
+  return Status::OK();
 }
 
 Status AugmentedMetablockTree::DeleteKnown(const Point& p) {
@@ -930,9 +971,9 @@ Status AugmentedMetablockTree::Destroy() {
   return ws.Commit();
 }
 
-Status AugmentedMetablockTree::CheckSubtree(PageId id, bool is_root,
-                                            Coord* node_ymax_out,
-                                            uint64_t* count_out) const {
+Status AugmentedMetablockTree::CheckSubtree(PageId id, Coord* node_ymax_out,
+                                            uint64_t* count_out,
+                                            uint32_t* height_out) const {
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
   PageIo io(pager_);
@@ -1006,6 +1047,7 @@ Status AugmentedMetablockTree::CheckSubtree(PageId id, bool is_root,
 
   uint64_t count = own.size() + upd.size();
   Coord desc_actual = kCoordMin;
+  uint32_t child_height = 0;
   if (ctrl.num_children > 0) {
     if (ctrl.td_update_page == kInvalidPageId) {
       return Status::Corruption("internal node lacks TD buffer");
@@ -1016,19 +1058,35 @@ Status AugmentedMetablockTree::CheckSubtree(PageId id, bool is_root,
     if (children.size() != ctrl.num_children) {
       return Status::Corruption("children count mismatch");
     }
+    // With TD empty nothing was pushed into the children since their TS
+    // chains were last written, so those must be exact.
+    const bool ts_fresh = ctrl.td_header == kInvalidPageId &&
+                          ctrl.td_update_count == 0;
+    TsChainChecker ts(b2);
     for (size_t i = 0; i < children.size(); ++i) {
       if (i > 0 && children[i].sub_xlo < children[i - 1].sub_xlo) {
         return Status::Corruption("children not ordered by x");
       }
       Coord child_ymax = kCoordMin;
       uint64_t child_count = 0;
+      uint32_t h = 0;
       CCIDX_RETURN_IF_ERROR(
-          CheckSubtree(children[i].control, false, &child_ymax, &child_count));
+          CheckSubtree(children[i].control, &child_ymax, &child_count, &h));
       if (children[i].node_ymax < child_ymax) {
         return Status::Corruption("stale child node_ymax in parent entry");
       }
       desc_actual = std::max(desc_actual, child_ymax);
       count += child_count;
+      child_height = std::max(child_height, h);
+      if (ts_fresh) {
+        Control child;
+        CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &child));
+        std::vector<Point> stored;
+        CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(child.horiz_head, &stored));
+        CCIDX_RETURN_IF_ERROR(ReadUpdatePoints(child, &stored));
+        CCIDX_RETURN_IF_ERROR(
+            ts.Next(pager_, child.ts_head, std::move(stored)));
+      }
     }
     if (ctrl.desc_ymax < desc_actual) {
       return Status::Corruption("desc_ymax watermark below actual");
@@ -1040,20 +1098,23 @@ Status AugmentedMetablockTree::CheckSubtree(PageId id, bool is_root,
   if (ctrl.node_ymax < actual_node_ymax) {
     return Status::Corruption("node_ymax watermark below actual");
   }
-  (void)is_root;
   *node_ymax_out = actual_node_ymax;
   *count_out = count;
+  *height_out = child_height + 1;
   return Status::OK();
 }
 
-Status AugmentedMetablockTree::CheckInvariants() const {
+Status AugmentedMetablockTree::CheckInvariants(uint32_t* height) const {
   if (root_ == kInvalidPageId) {
+    if (height != nullptr) *height = 0;
     return size_ == 0 ? Status::OK()
                       : Status::Corruption("empty tree with nonzero size");
   }
   Coord ymax = kCoordMin;
   uint64_t count = 0;
-  CCIDX_RETURN_IF_ERROR(CheckSubtree(root_, true, &ymax, &count));
+  uint32_t h = 0;
+  CCIDX_RETURN_IF_ERROR(CheckSubtree(root_, &ymax, &count, &h));
+  if (height != nullptr) *height = h;
   // Tombstoned points remain physically stored until the next purge.
   if (count != size_ + tombstones_.size()) {
     return Status::Corruption("total point count mismatch");

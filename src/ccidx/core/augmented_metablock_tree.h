@@ -62,13 +62,16 @@ namespace ccidx {
 ///
 /// Amortized I/O bounds:
 ///   insert O(log_B n + (log_B n)^2 / B)            (Theorem 3.7)
-///   delete O(log_B n + t_probe/B) membership probe + O((log_B n)/B)
-///          global-rebuild charge: deletes tombstone the point (queries
-///          filter at zero extra I/O) and the shared RebuildScheduler
-///          purges — a fault-atomic global rebuild through the bulk-build
-///          pipeline — before dead points reach half the live weight, so
-///          queries stay O(log_B n + t/B) on live output and space stays
-///          O(n/B) pages.
+///   delete O(log_B n) membership probe + O((log_B n)/B) global-rebuild
+///          charge. The probe descends p.x's routing path, reading at each
+///          node the update page, the vertical block(s) covering p.x and
+///          the child(ren) that can hold p.x (an x tie may straddle a child
+///          boundary, adding that sibling's path). Deletes tombstone the
+///          point (queries filter at zero extra I/O) and the shared
+///          RebuildScheduler purges — a fault-atomic global rebuild
+///          through the bulk-build pipeline — before dead points reach
+///          half the live weight, so queries stay O(log_B n + t/B) on live
+///          output and space stays O(n/B) pages.
 ///
 /// Thread safety (DESIGN.md §7/§11): Query is const and safe to run from
 /// any number of threads concurrently over one shared Pager. Insert/
@@ -103,8 +106,9 @@ class AugmentedMetablockTree {
   /// Re-inserting a tombstoned identity resurrects the stored point.
   Status Insert(const Point& p);
 
-  /// Weak-deletes the exact point (x, y, id); sets *found. One membership
-  /// probe + amortized O((log_B n)/B) purge charge (see class comment).
+  /// Weak-deletes the exact point (x, y, id); sets *found. One O(log_B n)
+  /// membership probe + amortized O((log_B n)/B) purge charge (see class
+  /// comment).
   Status Delete(const Point& p, bool* found);
 
   /// Weak-deletes a point the caller KNOWS is stored (a composition
@@ -145,8 +149,12 @@ class AugmentedMetablockTree {
   Status Destroy();
 
   /// Structural checks (sizes, bboxes, blocking agreement, desc_ymax and
-  /// node_ymax watermarks, TS freshness envelope). O(n/B) I/Os.
-  Status CheckInvariants() const;
+  /// node_ymax watermarks). Below every node whose TD is empty (none
+  /// pushed since its last TS reorganization or build), each child's TS
+  /// chain must equal the top B^2 of its left siblings' stored points.
+  /// Sets *height (when given) to the longest root-to-leaf path in nodes.
+  /// O(n/B) I/Os.
+  Status CheckInvariants(uint32_t* height = nullptr) const;
 
  private:
   // Control record for one metablock (one control page each).
@@ -234,6 +242,11 @@ class AugmentedMetablockTree {
   // and clears TD. O(B^2) I/Os.
   Status TsReorganizeChildren(Control* ctrl);
 
+  // Sets *found iff the exact point p is stored (own or buffered) in the
+  // subtree at `id`: the Delete probe. Prunes by bbox, update_ymax and the
+  // children's node_ymax; visits only children whose x-range can hold p.x.
+  Status Locate(PageId id, const Point& p, bool* found) const;
+
   // Collects every point in the subtree (own + update blocks, recursively).
   Status CollectSubtree(PageId id, std::vector<Point>* out) const;
   // Destroys the subtree's pages. If keep_ts, the node's own TS chain is
@@ -264,8 +277,8 @@ class AugmentedMetablockTree {
   // latch across its membership probe, so it must not re-lock).
   Status DeleteKnownLocked(const Point& p);
 
-  Status CheckSubtree(PageId id, bool is_root, Coord* node_ymax_out,
-                      uint64_t* count_out) const;
+  Status CheckSubtree(PageId id, Coord* node_ymax_out, uint64_t* count_out,
+                      uint32_t* height_out) const;
 
   Pager* pager_;
   PageId root_;

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "ccidx/core/geometry.h"
@@ -114,6 +115,69 @@ inline Result<PageId> WriteDescYChain(Pager* pager,
   CCIDX_RETURN_IF_ERROR(ids.status());
   return ids->empty() ? kInvalidPageId : ids->front();
 }
+
+/// The k highest points (descending PointYOrder) of a growing union: TS
+/// of Fig. 10 over the left siblings added so far. Each Add costs
+/// O(k + |pts|) (one nth_element), so building the TS chains of f
+/// children costs O(f * (k + child size)) rather than a sort of the whole
+/// union per child. Ties are broken by the total order, so the set is the
+/// one a full sort followed by truncation would keep.
+class TopYSet {
+ public:
+  explicit TopYSet(size_t k) : k_(k) {}
+
+  void Add(std::span<const Point> pts) {
+    top_.insert(top_.end(), pts.begin(), pts.end());
+    if (top_.size() > k_) {
+      std::nth_element(
+          top_.begin(), top_.begin() + static_cast<std::ptrdiff_t>(k_),
+          top_.end(),
+          [](const Point& a, const Point& b) { return PointYOrder()(b, a); });
+      top_.resize(k_);
+    }
+  }
+
+  /// The current top set, unordered (WriteDescYChain sorts its copy).
+  const std::vector<Point>& points() const { return top_; }
+
+ private:
+  size_t k_;
+  std::vector<Point> top_;
+};
+
+/// CheckInvariants helper for TS chains: walks a parent's children in x
+/// order and checks each child's TS chain against the top k (descending
+/// PointYOrder) of the points stored in its left siblings. It keeps that
+/// top k by sorted merge, an algorithm independent of TopYSet's.
+class TsChainChecker {
+ public:
+  explicit TsChainChecker(size_t k) : k_(k) {}
+
+  /// Checks the next child's TS chain, then adds the child's stored points
+  /// to the left-sibling union.
+  Status Next(Pager* pager, PageId ts_head, std::vector<Point> stored) {
+    const auto desc_y = [](const Point& a, const Point& b) {
+      return PointYOrder()(b, a);
+    };
+    std::vector<Point> ts;
+    CCIDX_RETURN_IF_ERROR(PageIo(pager).ReadChain<Point>(ts_head, &ts));
+    if (ts != top_) {
+      return Status::Corruption(
+          "TS chain is not the top B^2 of the left siblings");
+    }
+    std::sort(stored.begin(), stored.end(), desc_y);
+    std::vector<Point> merged;
+    std::merge(top_.begin(), top_.end(), stored.begin(), stored.end(),
+               std::back_inserter(merged), desc_y);
+    if (merged.size() > k_) merged.resize(k_);
+    top_ = std::move(merged);
+    return Status::OK();
+  }
+
+ private:
+  size_t k_;
+  std::vector<Point> top_;  // descending
+};
 
 /// Scans a descending-y chain from the top, emitting — one page at a time
 /// — the prefix of each page with y >= ylo as a zero-copy span into the

@@ -111,6 +111,10 @@ class CornerStructure {
   /// O(k/B) I/Os). Used when a TD structure is rebuilt (Section 3.2).
   Status CollectPoints(std::vector<Point>* out) const;
 
+  /// The stored corners C*, as read from the header's C* index chain
+  /// (descending x) — exposes the Fig. 12 selection for tests.
+  Status StoredCorners(std::vector<Coord>* out) const;
+
   /// Total pages used (for space-bound tests); O(k/B) I/Os to compute.
   Result<uint64_t> CountPages() const;
 

@@ -68,17 +68,14 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
     own = std::move(part->top);
 
     std::vector<ChildEntry> child_entries;
-    std::vector<Point> left_union;  // own points of left siblings so far
+    TopYSet left(b2);  // top B^2 own points of the left siblings so far
     for (PointGroup& sub : part->children) {
       auto child = BuildNode(pager, std::move(sub), branching, options);
       CCIDX_RETURN_IF_ERROR(child.status());
 
       // TS(child) = the B^2 highest-y points stored in its left siblings.
-      if (options.use_ts_structures && !left_union.empty()) {
-        std::vector<Point> ts = left_union;
-        std::sort(ts.begin(), ts.end(), DescY);
-        if (ts.size() > b2) ts.resize(b2);
-        auto head = WriteDescYChain(pager, std::move(ts));
+      if (options.use_ts_structures && !left.points().empty()) {
+        auto head = WriteDescYChain(pager, left.points());
         CCIDX_RETURN_IF_ERROR(head.status());
         child->ctrl.ts_head = *head;
       }
@@ -86,8 +83,7 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
           WriteControl(pager, child->control_page, child->ctrl));
       child_entries.push_back({child->ctrl.sub_xlo, child->ctrl.bbox_ymax,
                                child->control_page});
-      left_union.insert(left_union.end(), child->own_points.begin(),
-                        child->own_points.end());
+      left.Add(child->own_points);
     }
     PageIo io(pager);
     auto ids = io.WriteChain<ChildEntry>(child_entries);
@@ -481,12 +477,21 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
     if (children.size() != ctrl.num_children) {
       return Status::Corruption("children count mismatch");
     }
+    TsChainChecker ts(b2);
     for (size_t i = 0; i < children.size(); ++i) {
       if (i > 0 && children[i].sub_xlo < children[i - 1].sub_xlo) {
         return Status::Corruption("children not ordered by x");
       }
       CCIDX_RETURN_IF_ERROR(
           CheckSubtree(children[i].control, ctrl.bbox_ymin, false));
+      if (options_.use_ts_structures) {
+        Control child;
+        CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &child));
+        std::vector<Point> stored;
+        CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(child.horiz_head, &stored));
+        CCIDX_RETURN_IF_ERROR(
+            ts.Next(pager_, child.ts_head, std::move(stored)));
+      }
     }
   }
   return Status::OK();

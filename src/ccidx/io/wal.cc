@@ -569,6 +569,12 @@ Result<Wal::RecoveryInfo> Wal::Recover(Pager* pager) {
     WalDecoder dec(records.front().payload);
     snap.total_pages = dec.GetU64();
     uint64_t nbits = dec.GetU64();
+    // The bitmap must fit the payload before anything is sized from it
+    // (a CRC-valid record can still carry a writer bug's counts).
+    if (!dec.ok() || nbits != snap.total_pages ||
+        nbits / 8 + (nbits % 8 != 0) > dec.remaining()) {
+      return Status::Corruption("wal checkpoint record is malformed");
+    }
     std::span<const uint8_t> bits = dec.GetBytes((nbits + 7) / 8);
     snap.freed.resize(nbits);
     for (uint64_t i = 0; i < nbits; ++i) {
@@ -584,7 +590,7 @@ Result<Wal::RecoveryInfo> Wal::Recover(Pager* pager) {
       info.metas[k] = std::vector<uint8_t>(blob.begin(), blob.end());
       meta_tickets[k] = ticket;
     }
-    if (!dec.ok() || snap.freed.size() != snap.total_pages) {
+    if (!dec.ok()) {
       return Status::Corruption("wal checkpoint record is malformed");
     }
   }
@@ -605,13 +611,25 @@ Result<Wal::RecoveryInfo> Wal::Recover(Pager* pager) {
   // 5. Forward-replay resolved allocation changes onto the snapshot (both
   //    outcomes applied their alloc/free effects in process), and merge
   //    commit-metas by collection ticket (freshest snapshot wins per key).
+  //    Past the checkpoint pages are allocated inside txns, each logging
+  //    one kAlloc, so the device holds at most the checkpoint's page
+  //    count plus the log's kAlloc count. A larger id is a writer bug,
+  //    and sizing the snapshot from it would allocate what it asks.
+  const uint64_t alloc_limit =
+      snap.total_pages +
+      static_cast<uint64_t>(std::count_if(
+          records.begin(), records.end(), [](const WalRecord& r) {
+            return r.type == WalRecordType::kAlloc;
+          }));
   for (const WalRecord& r : records) {
     if (!resolved.contains(r.txn)) continue;
     WalDecoder dec(r.payload);
     switch (r.type) {
       case WalRecordType::kAlloc: {
         PageId id = dec.GetU64();
-        if (!dec.ok()) return Status::Corruption("bad wal alloc record");
+        if (!dec.ok() || id >= alloc_limit) {
+          return Status::Corruption("bad wal alloc record");
+        }
         if (id >= snap.freed.size()) {
           snap.freed.resize(id + 1, true);
           snap.total_pages = snap.freed.size();

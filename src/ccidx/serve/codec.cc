@@ -190,7 +190,7 @@ Status DecodeRequest(std::span<const uint8_t> frame, Request* req) {
   req->mode = static_cast<ResultMode>(mode);
   req->updates.reserve(n_updates);
   for (uint32_t i = 0; i < n_updates; ++i) {
-    uint8_t kind;
+    uint8_t kind = 0;
     UpdateOp op;
     r.Get8(&kind);
     r.GetI64(&op.key);
@@ -239,7 +239,7 @@ Status DecodeResponse(std::span<const uint8_t> frame, Response* resp) {
   }
   out.update_status.reserve(n_status);
   for (uint32_t i = 0; i < n_status; ++i) {
-    uint8_t b;
+    uint8_t b = 0;
     r.Get8(&b);
     out.update_status.push_back(b);
   }

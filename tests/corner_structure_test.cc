@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "ccidx/core/corner_structure.h"
@@ -153,6 +154,59 @@ TEST_F(CornerStructureTest, PointsOnDiagonal) {
     SortPoints(&got);
     EXPECT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
   }
+}
+
+// The Fig. 12 selection recounted by full scans of the x-sorted set: the
+// corners C* the build must store, in descending x.
+std::vector<Coord> BruteForceCStar(std::vector<Point> pts, uint32_t cap) {
+  std::sort(pts.begin(), pts.end(), PointXOrder());
+  std::vector<Coord> xhi;  // right boundary of each vertical block
+  for (size_t i = 0; i < pts.size(); i += cap) {
+    xhi.push_back(pts[std::min(pts.size(), i + cap) - 1].x);
+  }
+  std::vector<Coord> cstar;
+  if (xhi.size() < 2) return cstar;
+  cstar.push_back(xhi[xhi.size() - 2]);
+  for (size_t i = xhi.size() - 2; i-- > 0;) {
+    const Coord c = xhi[i];
+    const Coord cj = cstar.back();
+    if (c == cj) continue;
+    size_t omega = 0, delta_plus = 0, delta_minus = 0;
+    for (const Point& p : pts) {
+      if (p.x <= c && p.y >= cj) omega++;
+      if (p.x <= c && p.y >= c && p.y < cj) delta_plus++;
+      if (p.x > c && p.x <= cj && p.y >= cj) delta_minus++;
+    }
+    if (delta_minus + delta_plus > omega + delta_plus) cstar.push_back(c);
+  }
+  return cstar;
+}
+
+// The build counts Fig. 12's sets from per-block sorted y arrays; the C*
+// it stores must be the one the full-scan recount selects, including
+// under heavy x and y ties.
+TEST_F(CornerStructureTest, StoredCornersMatchFullScanRecount) {
+  size_t nontrivial = 0;
+  for (uint32_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937 rng(seed);
+    const size_t n = 1 + rng() % (2 * kB * kB);
+    const Coord domain = (seed % 3 == 0) ? 8 : (seed % 3 == 1) ? 40 : 5000;
+    std::vector<Point> points;
+    for (uint64_t i = 0; i < n; ++i) {
+      Coord x = static_cast<Coord>(rng() % domain);
+      points.push_back({x, x + static_cast<Coord>(rng() % domain), i});
+    }
+    BlockDevice dev(PageSizeForBranching(kB));
+    Pager pager(&dev, 0);
+    auto cs = CornerStructure::Build(&pager, points);
+    ASSERT_TRUE(cs.ok());
+    std::vector<Coord> got;
+    ASSERT_TRUE(cs->StoredCorners(&got).ok());
+    std::vector<Coord> want = BruteForceCStar(points, kB);
+    EXPECT_EQ(got, want) << "seed=" << seed << " n=" << n;
+    if (want.size() > 1) nontrivial++;
+  }
+  EXPECT_GT(nontrivial, 8u);
 }
 
 // Parameterized sweep over set sizes, including > B^2 (the augmented tree

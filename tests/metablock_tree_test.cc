@@ -95,6 +95,28 @@ TEST_F(MetablockTreeTest, HeavyDuplicateCoordinates) {
   }
 }
 
+// Every child's TS chain is built from a running top B^2 of its left
+// siblings; CheckInvariants compares each chain with the top B^2 of the
+// siblings' points kept by sorted merge. Few distinct y values make the
+// (y, x, id) tie-break decide which points make the cut.
+TEST_F(MetablockTreeTest, TsChainsAreTopB2OfLeftSiblings) {
+  for (uint32_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937 rng(seed);
+    std::vector<Point> points;
+    const size_t n = (10 + 10 * seed) * kB * kB;
+    for (uint64_t i = 0; i < n; ++i) {
+      Coord x = static_cast<Coord>(rng() % 400);
+      points.push_back({x, x + static_cast<Coord>(rng() % (seed * 3)), i});
+    }
+    BlockDevice dev(PageSizeForBranching(kB));
+    Pager pager(&dev, 0);
+    auto tree = MetablockTree::Build(&pager, points);
+    ASSERT_TRUE(tree.ok());
+    Status s = tree->CheckInvariants();
+    EXPECT_TRUE(s.ok()) << "seed=" << seed << ": " << s.message();
+  }
+}
+
 TEST_F(MetablockTreeTest, SpaceIsLinear) {
   // Theorem 3.2: O(n/B) pages. Our constant: each point appears in the
   // vertical + horizontal blockings, possibly a corner structure (<= 3k),

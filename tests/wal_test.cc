@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -581,6 +582,107 @@ TEST(WalTest, RecoveryKeepsFreshestMetaSnapshotUnderConcurrentCommits) {
   EXPECT_EQ(val.GetU64(),
             static_cast<uint64_t>(kThreads) * kTxnsPerThread);
   ASSERT_TRUE(val.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Malformed records with valid CRCs
+// ---------------------------------------------------------------------------
+
+// Frames one record in the log's wire format ([u32 crc][u32 len][u16 type]
+// [u16 flags][u64 txn][payload]; the CRC-32/IEEE covers everything after
+// the crc field), with a bitwise CRC independent of the wal's table.
+std::vector<uint8_t> Frame(WalRecordType type, uint64_t txn,
+                           const std::vector<uint8_t>& payload) {
+  WalEncoder enc;
+  enc.PutU32(0);
+  enc.PutU32(static_cast<uint32_t>(payload.size()));
+  enc.PutU16(static_cast<uint16_t>(type));
+  enc.PutU16(0);
+  enc.PutU64(txn);
+  std::vector<uint8_t> rec = enc.Take();
+  rec.insert(rec.end(), payload.begin(), payload.end());
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 4; i < rec.size(); ++i) {
+    crc ^= rec[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  crc ^= 0xFFFFFFFFu;
+  std::memcpy(rec.data(), &crc, 4);
+  return rec;
+}
+
+// A checkpoint payload: [u64 total][u64 nbits][bitmap: all pages live]
+// [u64 ticket][u32 no metas].
+std::vector<uint8_t> CheckpointPayload(uint64_t pages, size_t bitmap_bytes) {
+  WalEncoder enc;
+  enc.PutU64(pages);
+  enc.PutU64(pages);
+  enc.PutBytes(std::vector<uint8_t>(bitmap_bytes, 0));
+  enc.PutU64(0);
+  enc.PutU32(0);
+  return enc.Take();
+}
+
+// One committed txn allocating `page` after a checkpoint of `total` pages.
+std::vector<uint8_t> LogWithCommittedAlloc(uint64_t total, PageId page) {
+  std::vector<uint8_t> log = Frame(WalRecordType::kCheckpoint, 0,
+                                   CheckpointPayload(total, (total + 7) / 8));
+  WalEncoder alloc;
+  alloc.PutU64(page);
+  std::vector<uint8_t> rec = Frame(WalRecordType::kAlloc, 1, alloc.Take());
+  log.insert(log.end(), rec.begin(), rec.end());
+  WalEncoder commit;
+  commit.PutU64(1);
+  commit.PutU32(0);
+  rec = Frame(WalRecordType::kCommit, 1, commit.Take());
+  log.insert(log.end(), rec.begin(), rec.end());
+  return log;
+}
+
+Result<Wal::RecoveryInfo> RecoverFrom(BlockDevice* dev,
+                                      const std::vector<uint8_t>& log) {
+  auto storage = MakeMemWalStorage();
+  CCIDX_RETURN_IF_ERROR(storage->Reset(log));
+  Wal wal(dev, std::move(storage));
+  return wal.Recover(nullptr);
+}
+
+TEST(WalTest, RecoverRejectsMalformedRecordsWithValidCrcs) {
+  BlockDevice dev(kPageSize);
+  // Well-formed control: 16 pages, then one committed alloc of page 16
+  // (the next fresh id), recovers and grows the device by one page.
+  {
+    auto info = RecoverFrom(&dev, LogWithCommittedAlloc(16, 16));
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->committed_txns, 1u);
+    EXPECT_TRUE(dev.is_live(16));
+  }
+  // The bitmap claims 64 pages but the payload ends right after the
+  // count: Recover used to index the empty span GetBytes returned.
+  {
+    WalEncoder enc;
+    enc.PutU64(64);
+    enc.PutU64(64);
+    auto info =
+        RecoverFrom(&dev, Frame(WalRecordType::kCheckpoint, 0, enc.Take()));
+    EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
+  }
+  // A page count far beyond the payload must not size the snapshot.
+  {
+    auto info = RecoverFrom(
+        &dev, Frame(WalRecordType::kCheckpoint, 0,
+                    CheckpointPayload(uint64_t{1} << 40, 4)));
+    EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
+  }
+  // A committed alloc past every page the log can account for.
+  {
+    auto info = RecoverFrom(&dev, LogWithCommittedAlloc(16, 17));
+    EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
+    info = RecoverFrom(&dev, LogWithCommittedAlloc(16, uint64_t{1} << 40));
+    EXPECT_EQ(info.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(WalTest, FileStorageResetStagesThroughTempAndDiscardsOrphans) {
