@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -20,7 +21,9 @@
 #include "ccidx/bptree/bptree.h"
 #include "ccidx/classes/simple_class_index.h"
 #include "ccidx/core/augmented_metablock_tree.h"
+#include "ccidx/core/augmented_three_sided_tree.h"
 #include "ccidx/core/metablock_tree.h"
+#include "ccidx/core/three_sided_tree.h"
 #include "ccidx/dynamic/adapters.h"
 #include "ccidx/interval/interval_index.h"
 #include "ccidx/io/block_device.h"
@@ -258,6 +261,182 @@ TEST(UpdateIoBound, SimpleClassIndex) {
   EXPECT_LE(per_update, 6.0 * bound)
       << "simple class index: " << per_update << " I/Os per update, bound "
       << bound;
+}
+
+// ---------------------------------------------------------------------------
+// Exact-I/O golden counts for the four metablock trees.
+//
+// Capacity 0 turns speculation off, so every figure below is an exact
+// device count on every backend. Each phase records device reads, device
+// writes and page allocations: the bulk build over the trace's initial
+// set, the trace's inserts, the trace's deletes, a fixed query set (with
+// the deletes' tombstones outstanding), and for the augmented trees a
+// purge phase that DeleteKnown's initial points until the global purge
+// rebuild fires. The constants pin the trees' page-level behaviour: a
+// refactor of the update machinery or the own-point organizations must
+// leave them unchanged.
+// ---------------------------------------------------------------------------
+
+struct PhaseIo {
+  uint64_t reads;
+  uint64_t writes;
+  uint64_t allocs;
+
+  bool operator==(const PhaseIo&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PhaseIo& p) {
+  return os << "{" << p.reads << ", " << p.writes << ", " << p.allocs << "}";
+}
+
+struct GoldenIo {
+  PhaseIo build, inserts, deletes, queries, purge;
+};
+
+// Measures one phase: the device counters before and after `run`.
+template <typename Run>
+PhaseIo MeasurePhase(BlockDevice* dev, Run run) {
+  IoStats before = dev->stats();
+  run();
+  IoStats d = dev->stats() - before;
+  return {d.device_reads, d.device_writes, d.pages_allocated};
+}
+
+std::vector<DiagonalQuery> GoldenDiagonalQueries() {
+  std::mt19937_64 rng(0x51);
+  std::vector<DiagonalQuery> qs;
+  for (int i = 0; i < 64; ++i) {
+    qs.push_back({static_cast<Coord>(rng() % kDomain)});
+  }
+  return qs;
+}
+
+std::vector<ThreeSidedQuery> GoldenThreeSidedQueries() {
+  std::mt19937_64 rng(0x52);
+  std::vector<ThreeSidedQuery> qs;
+  for (int i = 0; i < 64; ++i) {
+    Coord x1 = static_cast<Coord>(rng() % kDomain);
+    Coord x2 = static_cast<Coord>(rng() % kDomain);
+    if (x1 > x2) std::swap(x1, x2);
+    qs.push_back({x1, x2, static_cast<Coord>(rng() % kDomain)});
+  }
+  return qs;
+}
+
+template <typename Tree, typename Query>
+PhaseIo MeasureQueries(BlockDevice* dev, const Tree& tree,
+                       const std::vector<Query>& qs) {
+  return MeasurePhase(dev, [&] {
+    for (const Query& q : qs) {
+      std::vector<Point> out;
+      Status s = tree.Query(q, &out);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  });
+}
+
+template <typename Tree>
+GoldenIo MeasureStaticGolden(const std::vector<Point>& initial,
+                             const auto& queries) {
+  BlockDevice dev(PageSizeForBranching(kB));
+  Pager pager(&dev, 0);
+  GoldenIo g{};
+  Result<Tree> tree = Status::FailedPrecondition("unbuilt");
+  g.build = MeasurePhase(&dev, [&] {
+    tree = Tree::Build(&pager, std::vector<Point>(initial));
+  });
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  if (!tree.ok()) return g;
+  g.queries = MeasureQueries(&dev, *tree, queries);
+  return g;
+}
+
+template <typename Tree>
+GoldenIo MeasureAugmentedGolden(const Trace& t, const auto& queries) {
+  BlockDevice dev(PageSizeForBranching(kB));
+  Pager pager(&dev, 0);
+  GoldenIo g{};
+  Result<Tree> built = Status::FailedPrecondition("unbuilt");
+  g.build = MeasurePhase(&dev, [&] {
+    built = Tree::Build(&pager, std::vector<Point>(t.initial));
+  });
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  if (!built.ok()) return g;
+  Tree& tree = *built;
+  std::vector<Point> deleted;
+  g.inserts = MeasurePhase(&dev, [&] {
+    for (const auto& [is_insert, p] : t.ops) {
+      if (is_insert) {
+        EXPECT_TRUE(tree.Insert(p).ok());
+      }
+    }
+  });
+  g.deletes = MeasurePhase(&dev, [&] {
+    for (const auto& [is_insert, p] : t.ops) {
+      if (is_insert) continue;
+      bool found = false;
+      EXPECT_TRUE(tree.Delete(p, &found).ok());
+      EXPECT_TRUE(found);
+      deleted.push_back(p);
+    }
+  });
+  g.queries = MeasureQueries(&dev, tree, queries);
+  g.purge = MeasurePhase(&dev, [&] {
+    for (const Point& p : t.initial) {
+      if (std::find(deleted.begin(), deleted.end(), p) != deleted.end()) {
+        continue;
+      }
+      EXPECT_TRUE(tree.DeleteKnown(p).ok());
+      if (tree.outstanding_tombstones() == 0) break;  // the purge fired
+    }
+  });
+  EXPECT_EQ(tree.outstanding_tombstones(), 0u);
+  Status s = tree.CheckInvariants();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return g;
+}
+
+void ExpectGolden(const GoldenIo& got, const GoldenIo& want) {
+  EXPECT_EQ(got.build, want.build) << "bulk build";
+  EXPECT_EQ(got.inserts, want.inserts) << "inserts";
+  EXPECT_EQ(got.deletes, want.deletes) << "deletes";
+  EXPECT_EQ(got.queries, want.queries) << "queries";
+  EXPECT_EQ(got.purge, want.purge) << "purge";
+}
+
+// The static trees have no update phases: theirs stay zero.
+TEST(ExactIoGolden, MetablockTree) {
+  Trace t = MakeTrace(0x20);
+  ExpectGolden(
+      MeasureStaticGolden<MetablockTree>(t.initial, GoldenDiagonalQueries()),
+      {{1216, 2292, 2292}, {}, {}, {565, 0, 0}, {}});
+}
+
+TEST(ExactIoGolden, ThreeSidedTree) {
+  Trace t = MakeTrace(0x20);
+  ExpectGolden(MeasureStaticGolden<ThreeSidedTree>(
+                   t.initial, GoldenThreeSidedQueries()),
+               {{1216, 3024, 3024}, {}, {}, {5860, 0, 0}, {}});
+}
+
+TEST(ExactIoGolden, AugmentedMetablockTree) {
+  ExpectGolden(MeasureAugmentedGolden<AugmentedMetablockTree>(
+                   MakeTrace(0x20), GoldenDiagonalQueries()),
+               {{1216, 2310, 2310},
+                {13553, 14748, 12262},
+                {6381, 0, 0},
+                {740, 0, 0},
+                {1445, 1220, 1220}});
+}
+
+TEST(ExactIoGolden, AugmentedThreeSidedTree) {
+  ExpectGolden(MeasureAugmentedGolden<AugmentedThreeSidedTree>(
+                   MakeTrace(0x20), GoldenThreeSidedQueries()),
+               {{1216, 3042, 3042},
+                {17534, 16493, 14007},
+                {10134, 0, 0},
+                {6238, 0, 0},
+                {2266, 1502, 1502}});
 }
 
 }  // namespace
