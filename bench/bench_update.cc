@@ -20,6 +20,7 @@
 
 #include "ccidx/bptree/bptree.h"
 #include "ccidx/core/augmented_metablock_tree.h"
+#include "ccidx/core/augmented_three_sided_tree.h"
 #include "ccidx/dynamic/adapters.h"
 #include "ccidx/interval/interval_index.h"
 #include "ccidx/io/wal.h"
@@ -120,6 +121,39 @@ void BM_UpdateDynamicMetablock(benchmark::State& state) {
   double levels = std::log2(static_cast<double>(n) / b) + 1;
   RunUpdateLoop(state, disk.device, &*tree, std::move(pts), n,
                 levels * (LogB(static_cast<double>(n), b) + 1.0));
+}
+
+// The 3-sided pair of the metablock routes above: Lemma 4.4's native
+// inserts (the same engine as the augmented metablock tree) against the
+// logarithmic method over static 3-sided trees. Both add Lemma 4.3's
+// log2 B term to every probe.
+void BM_UpdateAugmentedThreeSided(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  uint32_t b = static_cast<uint32_t>(state.range(1));
+  Disk disk(b);
+  auto pts = ShortSpanSet(n, 13);
+  auto tree = AugmentedThreeSidedTree::Build(&disk.pager,
+                                             std::vector<Point>(pts));
+  CCIDX_CHECK(tree.ok());
+  auto wal = MaybeAttachWal(&disk);
+  double lb = LogB(static_cast<double>(n), b);
+  RunUpdateLoop(state, disk.device, &*tree, std::move(pts), n,
+                lb + std::log2(b) + lb * lb / b + 1.0);
+}
+
+void BM_UpdateDynamicThreeSided(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  uint32_t b = static_cast<uint32_t>(state.range(1));
+  Disk disk(b);
+  auto pts = ShortSpanSet(n, 14);
+  auto tree = DynamicThreeSidedTree::Build(&disk.pager,
+                                           std::vector<Point>(pts));
+  CCIDX_CHECK(tree.ok());
+  auto wal = MaybeAttachWal(&disk);
+  double levels = std::log2(static_cast<double>(n) / b) + 1;
+  RunUpdateLoop(
+      state, disk.device, &*tree, std::move(pts), n,
+      levels * (LogB(static_cast<double>(n), b) + std::log2(b) + 1.0));
 }
 
 void BM_UpdateExternalPst(benchmark::State& state) {
@@ -307,6 +341,12 @@ BENCHMARK(BM_UpdateAugmentedMetablock)
     ->Args({1 << 14, 64})
     ->Args({1 << 16, 64});
 BENCHMARK(BM_UpdateDynamicMetablock)
+    ->Args({1 << 14, 64})
+    ->Args({1 << 16, 64});
+BENCHMARK(BM_UpdateAugmentedThreeSided)
+    ->Args({1 << 14, 64})
+    ->Args({1 << 16, 64});
+BENCHMARK(BM_UpdateDynamicThreeSided)
     ->Args({1 << 14, 64})
     ->Args({1 << 16, 64});
 BENCHMARK(BM_UpdateExternalPst)->Args({1 << 14, 64})->Args({1 << 16, 64});
