@@ -146,15 +146,16 @@ class TopYSet {
 };
 
 /// CheckInvariants helper for TS chains: walks a parent's children in x
-/// order and checks each child's TS chain against the top k (descending
-/// PointYOrder) of the points stored in its left siblings. It keeps that
-/// top k by sorted merge, an algorithm independent of TopYSet's.
+/// order (or in reverse, for TS over right siblings) and checks each
+/// child's TS chain against the top k (descending PointYOrder) of the
+/// points stored in the siblings walked before it. It keeps that top k by
+/// sorted merge, an algorithm independent of TopYSet's.
 class TsChainChecker {
  public:
   explicit TsChainChecker(size_t k) : k_(k) {}
 
   /// Checks the next child's TS chain, then adds the child's stored points
-  /// to the left-sibling union.
+  /// to the union of the siblings walked so far.
   Status Next(Pager* pager, PageId ts_head, std::vector<Point> stored) {
     const auto desc_y = [](const Point& a, const Point& b) {
       return PointYOrder()(b, a);
@@ -163,7 +164,7 @@ class TsChainChecker {
     CCIDX_RETURN_IF_ERROR(PageIo(pager).ReadChain<Point>(ts_head, &ts));
     if (ts != top_) {
       return Status::Corruption(
-          "TS chain is not the top B^2 of the left siblings");
+          "TS chain is not the top B^2 of its siblings on that side");
     }
     std::sort(stored.begin(), stored.end(), desc_y);
     std::vector<Point> merged;

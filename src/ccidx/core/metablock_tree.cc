@@ -9,9 +9,6 @@ namespace ccidx {
 
 namespace {
 
-// Descending-y comparator (PointYOrder reversed).
-bool DescY(const Point& a, const Point& b) { return PointYOrder()(b, a); }
-
 // Upper bound on one fan-out batch staged through WarmMany: keeps a
 // single subtree visit's speculative footprint (and thus the pages an
 // early-stopping sink can leave unused) small and independent of the
@@ -22,19 +19,11 @@ constexpr size_t kWarmFanoutCap = 16;
 
 Status MetablockTree::WriteControl(Pager* pager, PageId id,
                                    const Control& c) {
-  auto ref = pager->PinMut(id, Pager::MutMode::kOverwrite);
-  CCIDX_RETURN_IF_ERROR(ref.status());
-  PageWriter w(ref->data());
-  w.Put(c);
-  return ref->Release();
+  return PageIo(pager).WriteStruct(id, c);
 }
 
 Status MetablockTree::LoadControl(PageId id, Control* c) const {
-  auto ref = pager_->Pin(id);
-  CCIDX_RETURN_IF_ERROR(ref.status());
-  PageReader r(ref->data());
-  *c = r.Get<Control>();
-  return Status::OK();
+  return PageIo(pager_).ReadStruct(id, c);
 }
 
 Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
@@ -48,10 +37,7 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
   Control& ctrl = node.ctrl;
   ctrl = Control{};
   ctrl.children_head = kInvalidPageId;
-  ctrl.vindex_head = kInvalidPageId;
-  ctrl.horiz_head = kInvalidPageId;
   ctrl.ts_head = kInvalidPageId;
-  ctrl.corner_header = kInvalidPageId;
   ctrl.sub_xlo = group.first_x();
   ctrl.sub_xhi = group.last_x();
 
@@ -81,7 +67,7 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
       }
       CCIDX_RETURN_IF_ERROR(
           WriteControl(pager, child->control_page, child->ctrl));
-      child_entries.push_back({child->ctrl.sub_xlo, child->ctrl.bbox_ymax,
+      child_entries.push_back({child->ctrl.sub_xlo, child->ctrl.own.bbox_ymax,
                                child->control_page});
       left.Add(child->own_points);
     }
@@ -94,27 +80,7 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
 
   // Own-point organizations: bbox, vertical and horizontal blockings, and
   // a corner structure when the diagonal crosses the bbox.
-  ctrl.num_points = static_cast<uint32_t>(own.size());
-  ctrl.bbox_xmin = ctrl.bbox_ymin = kCoordMax;
-  ctrl.bbox_xmax = ctrl.bbox_ymax = kCoordMin;
-  for (const Point& p : own) {
-    ctrl.bbox_xmin = std::min(ctrl.bbox_xmin, p.x);
-    ctrl.bbox_xmax = std::max(ctrl.bbox_xmax, p.x);
-    ctrl.bbox_ymin = std::min(ctrl.bbox_ymin, p.y);
-    ctrl.bbox_ymax = std::max(ctrl.bbox_ymax, p.y);
-  }
-  std::sort(own.begin(), own.end(), PointXOrder());
-  auto vb = WriteVerticalBlocking(pager, own);
-  CCIDX_RETURN_IF_ERROR(vb.status());
-  ctrl.vindex_head = vb->index_head;
-  auto horiz = WriteDescYChain(pager, own);
-  CCIDX_RETURN_IF_ERROR(horiz.status());
-  ctrl.horiz_head = *horiz;
-  if (options.use_corner_structures && ctrl.bbox_ymin <= ctrl.bbox_xmax) {
-    auto corner = CornerStructure::Build(pager, own);
-    CCIDX_RETURN_IF_ERROR(corner.status());
-    ctrl.corner_header = corner->header();
-  }
+  CCIDX_RETURN_IF_ERROR(ctrl.own.Organize(pager, Side(options), &own));
   node.own_points = std::move(own);
   return node;
 }
@@ -164,62 +130,16 @@ Result<MetablockTree> MetablockTree::Build(Pager* pager,
   return Build(pager, std::span<const Point>(points), options);
 }
 
-Status MetablockTree::ReportOwnPoints(const Control& ctrl, Coord a,
-                                      SinkEmitter<Point>& em) const {
-  if (ctrl.num_points == 0 || em.stopped()) return Status::OK();
-  if (ctrl.bbox_xmin > a || ctrl.bbox_ymax < a) return Status::OK();
-  const bool x_all = ctrl.bbox_xmax <= a;  // every own point has x <= a
-  const bool y_all = ctrl.bbox_ymin >= a;  // every own point has y >= a
-  PageIo io(pager_);
-
-  if (x_all && y_all) {
-    // Type III: the whole metablock is output; stream the horizontal
-    // chain page by page.
-    return EmitChain<Point>(pager_, ctrl.horiz_head, em);
-  }
-  if (y_all) {
-    // Type I: only the vertical boundary x = a cuts the region. Scan
-    // vertical blocks left of a; at most one is partially useful.
-    std::vector<VerticalBlock> index;
-    CCIDX_RETURN_IF_ERROR(
-        ReadVerticalIndex(pager_, ctrl.vindex_head, &index));
-    return ScanVerticalBlocks(pager_, index, kCoordMin, a, em);
-  }
-  if (x_all) {
-    // Type IV: only the horizontal boundary y = a cuts the region. Scan
-    // the descending-y chain until we cross below a.
-    auto crossed = ScanDescYChain(pager_, ctrl.horiz_head, a, em);
-    return crossed.status();
-  }
-  // Type II: the corner (a, a) lies inside the bbox; by construction the
-  // diagonal crosses this bbox, so the corner structure exists — unless it
-  // was ablated away, in which case we pay the fallback the lemma saves us
-  // from: scan every vertical block left of the corner and filter.
-  if (ctrl.corner_header == kInvalidPageId) {
-    std::vector<VerticalBlock> index;
-    CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager_, ctrl.vindex_head, &index));
-    for (const VerticalBlock& blk : index) {
-      if (blk.xlo > a || em.stopped()) break;
-      auto view = io.ViewRecords<Point>(blk.page);
-      CCIDX_RETURN_IF_ERROR(view.status());
-      simd::EmitFiltered2Sided(em, view->records, a, a);
-    }
-    return Status::OK();
-  }
-  CornerStructure corner = CornerStructure::Open(pager_, ctrl.corner_header);
-  return corner.Query(a, em);
-}
-
 Status MetablockTree::ReportSubtree(PageId control_id, Coord a,
                                     SinkEmitter<Point>& em) const {
   if (em.stopped()) return Status::OK();
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(control_id, &ctrl));
-  if (ctrl.bbox_ymax < a && ctrl.num_points > 0) return Status::OK();
+  if (ctrl.own.bbox_ymax < a && ctrl.own.num_points > 0) return Status::OK();
   // Subtree x-interval is at or left of a (caller invariant), so every
   // point here with y >= a is output. Top-down scan; if it exhausts the
   // chain (all own points inside — Type III), descendants may qualify too.
-  auto crossed = ScanDescYChain(pager_, ctrl.horiz_head, a, em);
+  auto crossed = ScanDescYChain(pager_, ctrl.own.horiz_head, a, em);
   CCIDX_RETURN_IF_ERROR(crossed.status());
   if (*crossed || ctrl.num_children == 0 || em.stopped()) {
     return Status::OK();
@@ -259,7 +179,8 @@ Status MetablockTree::Query(const DiagonalQuery& q,
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(root_, &ctrl));
   while (true) {
-    CCIDX_RETURN_IF_ERROR(ReportOwnPoints(ctrl, a, em));
+    CCIDX_RETURN_IF_ERROR(
+        ctrl.own.Report(pager_, Side(options_), {kCoordMin, a, a}, em));
     if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
 
     std::vector<ChildEntry> children;
@@ -292,8 +213,8 @@ Status MetablockTree::Query(const DiagonalQuery& q,
         }
       };
       if (j > 0) stage(next_ctrl.ts_head);
-      stage(next_ctrl.horiz_head);
-      stage(next_ctrl.vindex_head);
+      stage(next_ctrl.own.horiz_head);
+      stage(next_ctrl.own.vindex_head);
       stage(next_ctrl.children_head);
       if (warm.size() >= 2) pager_->WarmMany(warm);
     }
@@ -340,7 +261,7 @@ Status MetablockTree::ScanSubtree(PageId control_id,
   CCIDX_RETURN_IF_ERROR(LoadControl(control_id, &ctrl));
   // Own points live exactly once in the horizontal chain (vertical
   // blockings, TS chains, and corner structures hold copies).
-  CCIDX_RETURN_IF_ERROR(EmitChain<Point>(pager_, ctrl.horiz_head, em));
+  CCIDX_RETURN_IF_ERROR(EmitChain<Point>(pager_, ctrl.own.horiz_head, em));
   if (ctrl.children_head != kInvalidPageId && !em.stopped()) {
     std::vector<ChildEntry> children;
     PageIo io(pager_);
@@ -372,17 +293,9 @@ Status MetablockTree::DestroySubtree(PageId control_id) {
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(control_id, &ctrl));
   PageIo io(pager_);
-  CCIDX_RETURN_IF_ERROR(FreeVerticalBlocking(pager_, ctrl.vindex_head));
-  if (ctrl.horiz_head != kInvalidPageId) {
-    CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrl.horiz_head));
-  }
+  CCIDX_RETURN_IF_ERROR(ctrl.own.Free(pager_, Side(options_)));
   if (ctrl.ts_head != kInvalidPageId) {
     CCIDX_RETURN_IF_ERROR(io.FreeChain(ctrl.ts_head));
-  }
-  if (ctrl.corner_header != kInvalidPageId) {
-    CornerStructure corner = CornerStructure::Open(pager_,
-                                                   ctrl.corner_header);
-    CCIDX_RETURN_IF_ERROR(corner.Free());
   }
   if (ctrl.children_head != kInvalidPageId) {
     std::vector<ChildEntry> children;
@@ -411,63 +324,21 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
   PageIo io(pager_);
 
   std::vector<Point> own;
-  CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(ctrl.horiz_head, &own));
-  if (own.size() != ctrl.num_points) {
-    return Status::Corruption("metablock point count mismatch");
-  }
+  CCIDX_RETURN_IF_ERROR(ctrl.own.Check(pager_, Side(options_), &own));
   const uint32_t b2 = branching_ * branching_;
-  if (ctrl.num_children > 0 && ctrl.num_points != b2) {
+  if (ctrl.num_children > 0 && ctrl.own.num_points != b2) {
     return Status::Corruption("internal metablock must hold exactly B^2");
   }
-  if (ctrl.num_points > 2 * b2) {
+  if (ctrl.own.num_points > 2 * b2) {
     return Status::Corruption("metablock exceeds capacity");
   }
   for (const Point& p : own) {
-    if (p.x < ctrl.bbox_xmin || p.x > ctrl.bbox_xmax ||
-        p.y < ctrl.bbox_ymin || p.y > ctrl.bbox_ymax) {
-      return Status::Corruption("point outside recorded bbox");
-    }
     if (p.x < ctrl.sub_xlo || p.x > ctrl.sub_xhi) {
       return Status::Corruption("point outside subtree x-interval");
     }
     if (!is_root && p.y > parent_min_y) {
       return Status::Corruption("descendant above parent metablock");
     }
-  }
-  // Horizontal chain must be in descending-y order.
-  if (!std::is_sorted(own.begin(), own.end(), DescY)) {
-    return Status::Corruption("horizontal chain not descending by y");
-  }
-  // Vertical blocking must hold the same multiset, ascending by x.
-  std::vector<VerticalBlock> index;
-  CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager_, ctrl.vindex_head, &index));
-  std::vector<Point> vpoints;
-  for (const VerticalBlock& blk : index) {
-    auto view = io.ViewRecords<Point>(blk.page);
-    CCIDX_RETURN_IF_ERROR(view.status());
-    for (const Point& p : view->records) {
-      if (p.x < blk.xlo || p.x > blk.xhi) {
-        return Status::Corruption("vertical block range mismatch");
-      }
-    }
-    vpoints.insert(vpoints.end(), view->records.begin(),
-                   view->records.end());
-  }
-  if (!std::is_sorted(vpoints.begin(), vpoints.end(), PointXOrder())) {
-    return Status::Corruption("vertical blocking not ascending by x");
-  }
-  std::vector<Point> hsorted = own;
-  std::sort(hsorted.begin(), hsorted.end(), PointXOrder());
-  if (hsorted != vpoints) {
-    return Status::Corruption("vertical / horizontal blockings disagree");
-  }
-  // Corner structure must exist iff enabled and the diagonal crosses the
-  // bbox.
-  bool diagonal_crosses = options_.use_corner_structures &&
-                          ctrl.num_points > 0 &&
-                          ctrl.bbox_ymin <= ctrl.bbox_xmax;
-  if (diagonal_crosses != (ctrl.corner_header != kInvalidPageId)) {
-    return Status::Corruption("corner structure presence mismatch");
   }
 
   if (ctrl.num_children > 0) {
@@ -483,12 +354,13 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
         return Status::Corruption("children not ordered by x");
       }
       CCIDX_RETURN_IF_ERROR(
-          CheckSubtree(children[i].control, ctrl.bbox_ymin, false));
+          CheckSubtree(children[i].control, ctrl.own.bbox_ymin, false));
       if (options_.use_ts_structures) {
         Control child;
         CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &child));
         std::vector<Point> stored;
-        CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(child.horiz_head, &stored));
+        CCIDX_RETURN_IF_ERROR(
+            io.ReadChain<Point>(child.own.horiz_head, &stored));
         CCIDX_RETURN_IF_ERROR(
             ts.Next(pager_, child.ts_head, std::move(stored)));
       }

@@ -33,8 +33,8 @@
 #include "ccidx/build/point_group.h"
 #include "ccidx/build/record_stream.h"
 #include "ccidx/core/blocking.h"
-#include "ccidx/core/corner_structure.h"
 #include "ccidx/core/geometry.h"
+#include "ccidx/core/organization.h"
 #include "ccidx/io/pager.h"
 
 namespace ccidx {
@@ -146,22 +146,17 @@ class MetablockTree {
   Status CheckInvariants() const;
 
  private:
-  friend class AugmentedMetablockTree;
-
   // On-page control record for one metablock. One control page per
   // metablock ("a constant number of disk blocks per metablock to store
   // control information", Thm. 3.2 proof).
   struct Control {
-    uint32_t num_points;
+    OwnOrganization own;      // bbox, blockings, corner structure
     uint32_t num_children;
-    Coord bbox_xmin, bbox_xmax, bbox_ymin, bbox_ymax;  // of own points
-    Coord sub_xlo, sub_xhi;                            // subtree x-interval
+    uint32_t pad;
+    Coord sub_xlo, sub_xhi;   // subtree x-interval
     uint64_t children_head;   // chain of ChildEntry
-    uint64_t vindex_head;     // vertical blocking index chain
-    uint64_t horiz_head;      // descending-y chain of own points
     uint64_t ts_head;         // TS(this): desc-y chain (kInvalid at root /
                               // leftmost children)
-    uint64_t corner_header;   // CornerStructure (kInvalid if not built)
   };
 
   struct ChildEntry {
@@ -192,10 +187,12 @@ class MetablockTree {
   static Status WriteControl(Pager* pager, PageId id, const Control& c);
   Status LoadControl(PageId id, Control* c) const;
 
-  // Reports this metablock's own points that fall in the query, per its
-  // Type I-IV classification.
-  Status ReportOwnPoints(const Control& ctrl, Coord a,
-                         SinkEmitter<Point>& em) const;
+  // The side structure of every own organization: corner structures
+  // unless ablated.
+  static SideKind Side(const MetablockOptions& options) {
+    return options.use_corner_structures ? SideKind::kCorner
+                                         : SideKind::kNone;
+  }
 
   // Reports the entire subtree rooted at `control_id`, whose x-interval is
   // known to lie at or left of a: a top-down descending-y scan per node,

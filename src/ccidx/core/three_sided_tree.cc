@@ -4,34 +4,13 @@
 
 namespace ccidx {
 
-namespace {
-
-bool DescY(const Point& a, const Point& b) { return PointYOrder()(b, a); }
-
-// Top-k of `pts` by descending y, written as a chain. Empty -> kInvalid.
-Result<PageId> WriteTopK(Pager* pager, std::vector<Point> pts, size_t k) {
-  std::sort(pts.begin(), pts.end(), DescY);
-  if (pts.size() > k) pts.resize(k);
-  return WriteDescYChain(pager, std::move(pts));
-}
-
-}  // namespace
-
 Status ThreeSidedTree::WriteControl(Pager* pager, PageId id,
                                     const Control& c) {
-  auto ref = pager->PinMut(id, Pager::MutMode::kOverwrite);
-  CCIDX_RETURN_IF_ERROR(ref.status());
-  PageWriter w(ref->data());
-  w.Put(c);
-  return ref->Release();
+  return PageIo(pager).WriteStruct(id, c);
 }
 
 Status ThreeSidedTree::LoadControl(PageId id, Control* c) const {
-  auto ref = pager_->Pin(id);
-  CCIDX_RETURN_IF_ERROR(ref.status());
-  PageReader r(ref->data());
-  *c = r.Get<Control>();
-  return Status::OK();
+  return PageIo(pager_).ReadStruct(id, c);
 }
 
 Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
@@ -45,11 +24,8 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
   Control& ctrl = node.ctrl;
   ctrl = Control{};
   ctrl.children_head = kInvalidPageId;
-  ctrl.vindex_head = kInvalidPageId;
-  ctrl.horiz_head = kInvalidPageId;
   ctrl.ts_left_head = kInvalidPageId;
   ctrl.ts_right_head = kInvalidPageId;
-  ctrl.own_pst_root = kInvalidPageId;
   ctrl.children_pst_root = kInvalidPageId;
   ctrl.sub_xlo = group.first_x();
   ctrl.sub_xhi = group.last_x();
@@ -72,33 +48,20 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
       children.push_back(std::move(*child));
     }
 
-    // TS-left from prefix unions, TS-right from suffix unions.
-    std::vector<Point> acc;
+    // TS chains in both directions (case 5) and the union of all
+    // children's points: the case-(4) structure (<= B^3 points).
+    std::vector<Point> all;
+    std::vector<size_t> ends;
+    for (const BuiltNode& child : children) {
+      all.insert(all.end(), child.own_points.begin(), child.own_points.end());
+      ends.push_back(all.size());
+    }
+    auto sib = WriteSiblingStructures(pager, b2, all, ends);
+    CCIDX_RETURN_IF_ERROR(sib.status());
+    ctrl.children_pst_root = sib->children_pst;
     for (size_t i = 0; i < children.size(); ++i) {
-      if (!acc.empty()) {
-        auto head = WriteTopK(pager, acc, b2);
-        CCIDX_RETURN_IF_ERROR(head.status());
-        children[i].ctrl.ts_left_head = *head;
-      }
-      acc.insert(acc.end(), children[i].own_points.begin(),
-                 children[i].own_points.end());
-    }
-    // `acc` now holds the union of all children's points: the case-(4)
-    // structure for the children of this metablock (<= B^3 points).
-    {
-      auto pst = ExternalPst::Build(pager, acc);
-      CCIDX_RETURN_IF_ERROR(pst.status());
-      ctrl.children_pst_root = pst->root();
-    }
-    std::vector<Point> suffix;
-    for (size_t i = children.size(); i-- > 0;) {
-      if (!suffix.empty()) {
-        auto head = WriteTopK(pager, suffix, b2);
-        CCIDX_RETURN_IF_ERROR(head.status());
-        children[i].ctrl.ts_right_head = *head;
-      }
-      suffix.insert(suffix.end(), children[i].own_points.begin(),
-                    children[i].own_points.end());
+      children[i].ctrl.ts_left_head = sib->ts_left[i];
+      children[i].ctrl.ts_right_head = sib->ts_right[i];
     }
 
     std::vector<ChildEntry> entries;
@@ -106,7 +69,7 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
       CCIDX_RETURN_IF_ERROR(
           WriteControl(pager, child.control_page, child.ctrl));
       entries.push_back({child.ctrl.sub_xlo, child.ctrl.sub_xhi,
-                         child.ctrl.bbox_ymax, child.ctrl.bbox_ymin,
+                         child.ctrl.own.bbox_ymax, child.ctrl.own.bbox_ymin,
                          child.control_page});
     }
     auto ids = io.WriteChain<ChildEntry>(entries);
@@ -115,27 +78,7 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
     ctrl.num_children = static_cast<uint32_t>(entries.size());
   }
 
-  ctrl.num_points = static_cast<uint32_t>(own.size());
-  ctrl.bbox_xmin = ctrl.bbox_ymin = kCoordMax;
-  ctrl.bbox_xmax = ctrl.bbox_ymax = kCoordMin;
-  for (const Point& p : own) {
-    ctrl.bbox_xmin = std::min(ctrl.bbox_xmin, p.x);
-    ctrl.bbox_xmax = std::max(ctrl.bbox_xmax, p.x);
-    ctrl.bbox_ymin = std::min(ctrl.bbox_ymin, p.y);
-    ctrl.bbox_ymax = std::max(ctrl.bbox_ymax, p.y);
-  }
-  std::sort(own.begin(), own.end(), PointXOrder());
-  auto vb = WriteVerticalBlocking(pager, own);
-  CCIDX_RETURN_IF_ERROR(vb.status());
-  ctrl.vindex_head = vb->index_head;
-  auto horiz = WriteDescYChain(pager, own);
-  CCIDX_RETURN_IF_ERROR(horiz.status());
-  ctrl.horiz_head = *horiz;
-  {
-    auto pst = ExternalPst::Build(pager, own);
-    CCIDX_RETURN_IF_ERROR(pst.status());
-    ctrl.own_pst_root = pst->root();
-  }
+  CCIDX_RETURN_IF_ERROR(ctrl.own.Organize(pager, SideKind::kPst, &own));
   node.own_points = std::move(own);
   return node;
 }
@@ -182,42 +125,12 @@ Result<ThreeSidedTree> ThreeSidedTree::Build(Pager* pager,
   return Build(pager, std::span<const Point>(points));
 }
 
-Status ThreeSidedTree::ReportOwnPoints(const Control& ctrl, Coord xlo,
-                                       Coord xhi, Coord ylo,
-                                       SinkEmitter<Point>& em) const {
-  if (ctrl.num_points == 0 || em.stopped()) return Status::OK();
-  if (ctrl.bbox_xmin > xhi || ctrl.bbox_xmax < xlo || ctrl.bbox_ymax < ylo) {
-    return Status::OK();
-  }
-  const bool x_all = ctrl.bbox_xmin >= xlo && ctrl.bbox_xmax <= xhi;
-  const bool y_all = ctrl.bbox_ymin >= ylo;
-  PageIo io(pager_);
-  if (x_all && y_all) {
-    return EmitChain<Point>(pager_, ctrl.horiz_head, em);
-  }
-  if (y_all) {
-    // Only vertical boundaries cut: scan the x-slab of vertical blocks
-    // (at most two partially-useful pages).
-    std::vector<VerticalBlock> index;
-    CCIDX_RETURN_IF_ERROR(ReadVerticalIndex(pager_, ctrl.vindex_head, &index));
-    return ScanVerticalBlocks(pager_, index, xlo, xhi, em);
-  }
-  if (x_all) {
-    // Only the bottom boundary cuts: top-down scan.
-    auto crossed = ScanDescYChain(pager_, ctrl.horiz_head, ylo, em);
-    return crossed.status();
-  }
-  // A corner of the query lies inside the bbox: Lemma 4.1 structure.
-  ExternalPst pst = ExternalPst::Open(pager_, ctrl.own_pst_root);
-  return pst.Query({xlo, xhi, ylo}, em);
-}
-
 Status ThreeSidedTree::ReportSubtree(PageId id, Coord ylo,
                                      SinkEmitter<Point>& em) const {
   if (em.stopped()) return Status::OK();
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
-  auto crossed = ScanDescYChain(pager_, ctrl.horiz_head, ylo, em);
+  auto crossed = ScanDescYChain(pager_, ctrl.own.horiz_head, ylo, em);
   CCIDX_RETURN_IF_ERROR(crossed.status());
   if (*crossed || ctrl.num_children == 0 || em.stopped()) {
     return Status::OK();
@@ -249,7 +162,7 @@ Status ThreeSidedTree::LeftPath(PageId id, Coord xlo, Coord ylo,
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
     if (!skip_own) {
       CCIDX_RETURN_IF_ERROR(
-          ReportOwnPoints(ctrl, xlo, kCoordMax, ylo, em));
+          ctrl.own.Report(pager_, SideKind::kPst, {xlo, kCoordMax, ylo}, em));
     }
     skip_own = false;
     if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
@@ -300,7 +213,7 @@ Status ThreeSidedTree::RightPath(PageId id, Coord xhi, Coord ylo,
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
     if (!skip_own) {
       CCIDX_RETURN_IF_ERROR(
-          ReportOwnPoints(ctrl, kCoordMin, xhi, ylo, em));
+          ctrl.own.Report(pager_, SideKind::kPst, {kCoordMin, xhi, ylo}, em));
     }
     skip_own = false;
     if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
@@ -348,8 +261,7 @@ Status ThreeSidedTree::Query(const ThreeSidedQuery& q,
   while (true) {
     Control ctrl;
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
-    CCIDX_RETURN_IF_ERROR(
-        ReportOwnPoints(ctrl, q.xlo, q.xhi, q.ylo, em));
+    CCIDX_RETURN_IF_ERROR(ctrl.own.Report(pager_, SideKind::kPst, q, em));
     if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(
@@ -411,7 +323,7 @@ Status ThreeSidedTree::ScanSubtree(PageId id, SinkEmitter<Point>& em) const {
   CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
   // Own points live exactly once in the horizontal chain; the PSTs, TS
   // chains, and vertical blockings hold copies.
-  CCIDX_RETURN_IF_ERROR(EmitChain<Point>(pager_, ctrl.horiz_head, em));
+  CCIDX_RETURN_IF_ERROR(EmitChain<Point>(pager_, ctrl.own.horiz_head, em));
   if (ctrl.num_children > 0 && !em.stopped()) {
     std::vector<ChildEntry> children;
     PageIo io(pager_);
@@ -435,22 +347,12 @@ Status ThreeSidedTree::DestroySubtree(PageId id) {
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
   PageIo io(pager_);
-  CCIDX_RETURN_IF_ERROR(FreeVerticalBlocking(pager_, ctrl.vindex_head));
-  for (PageId head : {static_cast<PageId>(ctrl.horiz_head),
-                      static_cast<PageId>(ctrl.ts_left_head),
-                      static_cast<PageId>(ctrl.ts_right_head)}) {
-    if (head != kInvalidPageId) {
-      CCIDX_RETURN_IF_ERROR(io.FreeChain(head));
-    }
+  CCIDX_RETURN_IF_ERROR(ctrl.own.Free(pager_, SideKind::kPst));
+  for (PageId head : {ctrl.ts_left_head, ctrl.ts_right_head}) {
+    if (head != kInvalidPageId) CCIDX_RETURN_IF_ERROR(io.FreeChain(head));
   }
-  if (ctrl.own_pst_root != kInvalidPageId) {
-    ExternalPst pst = ExternalPst::Open(pager_, ctrl.own_pst_root);
-    CCIDX_RETURN_IF_ERROR(pst.Free());
-  }
-  if (ctrl.children_pst_root != kInvalidPageId) {
-    ExternalPst pst = ExternalPst::Open(pager_, ctrl.children_pst_root);
-    CCIDX_RETURN_IF_ERROR(pst.Free());
-  }
+  CCIDX_RETURN_IF_ERROR(
+      FreeSide(pager_, SideKind::kPst, ctrl.children_pst_root));
   if (ctrl.num_children > 0) {
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(
@@ -479,15 +381,9 @@ Status ThreeSidedTree::CheckSubtree(PageId id, Coord parent_min_y,
   const uint32_t b2 = branching_ * branching_;
 
   std::vector<Point> own;
-  CCIDX_RETURN_IF_ERROR(io.ReadChain<Point>(ctrl.horiz_head, &own));
-  if (own.size() != ctrl.num_points) {
-    return Status::Corruption("own point count mismatch");
-  }
-  if (ctrl.num_children > 0 && ctrl.num_points != b2) {
+  CCIDX_RETURN_IF_ERROR(ctrl.own.Check(pager_, SideKind::kPst, &own));
+  if (ctrl.num_children > 0 && ctrl.own.num_points != b2) {
     return Status::Corruption("internal metablock must hold exactly B^2");
-  }
-  if (!std::is_sorted(own.begin(), own.end(), DescY)) {
-    return Status::Corruption("horizontal chain not descending by y");
   }
   for (const Point& p : own) {
     if (p.x < ctrl.sub_xlo || p.x > ctrl.sub_xhi) {
@@ -497,40 +393,37 @@ Status ThreeSidedTree::CheckSubtree(PageId id, Coord parent_min_y,
       return Status::Corruption("heap order violated");
     }
   }
-  if (ctrl.own_pst_root != kInvalidPageId) {
-    ExternalPst pst = ExternalPst::Open(pager_, ctrl.own_pst_root);
-    CCIDX_RETURN_IF_ERROR(pst.CheckInvariants());
-  } else if (ctrl.num_points > 0) {
-    return Status::Corruption("missing own PST");
-  }
   *count += own.size();
-  if (ctrl.num_children > 0) {
-    if (ctrl.children_pst_root == kInvalidPageId) {
-      return Status::Corruption("missing children PST");
+  if (ctrl.num_children == 0) return Status::OK();
+  if (ctrl.children_pst_root == kInvalidPageId) {
+    return Status::Corruption("missing children PST");
+  }
+  std::vector<ChildEntry> children;
+  CCIDX_RETURN_IF_ERROR(
+      io.ReadChain<ChildEntry>(ctrl.children_head, &children));
+  if (children.size() != ctrl.num_children) {
+    return Status::Corruption("children count mismatch");
+  }
+  // Every child's TS-left must be the top B^2 of its left siblings' own
+  // points, and its TS-right the top B^2 of its right siblings'.
+  TsChainChecker left(b2), right(b2);
+  std::vector<Control> kids(children.size());
+  std::vector<std::vector<Point>> stored(children.size());
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (i > 0 && children[i].sub_xlo < children[i - 1].sub_xhi) {
+      return Status::Corruption("children x-intervals out of order");
     }
-    std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(
-        io.ReadChain<ChildEntry>(ctrl.children_head, &children));
-    if (children.size() != ctrl.num_children) {
-      return Status::Corruption("children count mismatch");
-    }
-    for (size_t i = 0; i < children.size(); ++i) {
-      if (i > 0 && children[i].sub_xlo < children[i - 1].sub_xhi) {
-        return Status::Corruption("children x-intervals out of order");
-      }
-      // TS presence: all but the first need ts_left; all but the last
-      // need ts_right.
-      Control cc;
-      CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &cc));
-      if (i > 0 && cc.ts_left_head == kInvalidPageId) {
-        return Status::Corruption("missing TS-left");
-      }
-      if (i + 1 < children.size() && cc.ts_right_head == kInvalidPageId) {
-        return Status::Corruption("missing TS-right");
-      }
-      CCIDX_RETURN_IF_ERROR(
-          CheckSubtree(children[i].control, ctrl.bbox_ymin, false, count));
-    }
+        CheckSubtree(children[i].control, ctrl.own.bbox_ymin, false, count));
+    CCIDX_RETURN_IF_ERROR(LoadControl(children[i].control, &kids[i]));
+    CCIDX_RETURN_IF_ERROR(
+        io.ReadChain<Point>(kids[i].own.horiz_head, &stored[i]));
+    CCIDX_RETURN_IF_ERROR(
+        left.Next(pager_, kids[i].ts_left_head, stored[i]));
+  }
+  for (size_t i = children.size(); i-- > 0;) {
+    CCIDX_RETURN_IF_ERROR(
+        right.Next(pager_, kids[i].ts_right_head, std::move(stored[i])));
   }
   return Status::OK();
 }

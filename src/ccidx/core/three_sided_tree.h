@@ -39,6 +39,7 @@
 #include "ccidx/build/record_stream.h"
 #include "ccidx/core/blocking.h"
 #include "ccidx/core/geometry.h"
+#include "ccidx/core/organization.h"
 #include "ccidx/io/pager.h"
 #include "ccidx/pst/external_pst.h"
 
@@ -87,21 +88,19 @@ class ThreeSidedTree {
   /// Frees all pages.
   Status Destroy();
 
-  /// Structural checks (heap order, blockings, TS contents, PST presence).
+  /// Structural checks: heap order, own organizations, both TS chains of
+  /// every child (the top B^2 of its siblings on that side), PST presence.
   Status CheckInvariants() const;
 
  private:
   struct Control {
-    uint32_t num_points;
+    OwnOrganization own;     // side structure: Lemma 4.1 PST
     uint32_t num_children;
-    Coord bbox_xmin, bbox_xmax, bbox_ymin, bbox_ymax;
+    uint32_t pad;
     Coord sub_xlo, sub_xhi;
     uint64_t children_head;
-    uint64_t vindex_head;
-    uint64_t horiz_head;
     uint64_t ts_left_head;   // top B^2 of LEFT siblings (right path fence)
     uint64_t ts_right_head;  // top B^2 of RIGHT siblings (left path fence)
-    uint64_t own_pst_root;   // Lemma 4.1 structure over own points
     uint64_t children_pst_root;  // over union of children's own points
   };
 
@@ -126,13 +125,6 @@ class ThreeSidedTree {
                                      uint32_t branching);
   static Status WriteControl(Pager* pager, PageId id, const Control& c);
   Status LoadControl(PageId id, Control* c) const;
-
-  // Own-point reporting, clipped to the given sides (kCoordMin/kCoordMax
-  // mean "unbounded"). Uses vertical / horizontal blockings when only one
-  // kind of boundary cuts the bbox, and the own PST when a corner lies
-  // inside.
-  Status ReportOwnPoints(const Control& ctrl, Coord xlo, Coord xhi,
-                         Coord ylo, SinkEmitter<Point>& em) const;
 
   // Subtree known to lie fully inside the x-slab: descending-y scans with
   // the heap-order stop rule (as in the static metablock tree).

@@ -244,6 +244,25 @@ class PageIo {
     return Status::OK();
   }
 
+  /// Overwrites page `id` with one trivially copyable record at offset 0
+  /// (the metablock trees' control pages).
+  template <typename T>
+  Status WriteStruct(PageId id, const T& value) {
+    auto ref = pager_->PinMut(id, Pager::MutMode::kOverwrite);
+    CCIDX_RETURN_IF_ERROR(ref.status());
+    PageWriter(ref->data()).Put(value);
+    return ref->Release();
+  }
+
+  /// Reads the record WriteStruct stored on page `id`.
+  template <typename T>
+  Status ReadStruct(PageId id, T* out) {
+    auto ref = pager_->Pin(id);
+    CCIDX_RETURN_IF_ERROR(ref.status());
+    *out = PageReader(ref->data()).Get<T>();
+    return Status::OK();
+  }
+
   static constexpr size_t kHeaderSize = 16;
 
  private:

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
-#include <span>
 
 #include "ccidx/core/augmented_metablock_tree.h"
 #include "ccidx/core/metablock_tree.h"
@@ -242,173 +241,6 @@ TEST_F(AugmentedTreeTest, AgreesWithStaticTree) {
     SortPoints(&got_d);
     EXPECT_EQ(got_s, got_d) << "a=" << a;
   }
-}
-
-// TS chains come from a running top B^2 of the left siblings, both in the
-// bulk build and in every TS reorganization. CheckInvariants compares each
-// chain under a node with an empty TD (nothing pushed since the chains
-// were written) with the top B^2 of the siblings' stored points kept by
-// sorted merge. Few distinct y values make the tie-break decide the cut.
-TEST_F(AugmentedTreeTest, TsChainsAreTopB2OfLeftSiblings) {
-  std::mt19937 rng(13);
-  uint64_t id = 0;
-  auto next = [&] {
-    Coord x = static_cast<Coord>(rng() % 600);
-    return Point{x, x + static_cast<Coord>(rng() % 5), id++};
-  };
-  std::vector<Point> initial;
-  for (size_t i = 0; i < 30 * kB * kB; ++i) initial.push_back(next());
-  auto tree = AugmentedMetablockTree::Build(&pager_, initial);
-  ASSERT_TRUE(tree.ok());
-  Status s = tree->CheckInvariants();
-  ASSERT_TRUE(s.ok()) << s.message();
-  for (int round = 0; round < 20; ++round) {
-    for (size_t i = 0; i < 4 * kB * kB; ++i) {
-      ASSERT_TRUE(tree->Insert(next()).ok());
-    }
-    s = tree->CheckInvariants();
-    ASSERT_TRUE(s.ok()) << "round " << round << ": " << s.message();
-  }
-}
-
-// Delete's membership probe descends p.x's routing path instead of running
-// a diagonal query. Interleave inserts and deletes over a small coordinate
-// domain, so x ties straddle bulk-build child boundaries and split leaves,
-// and check every found flag against a multiset oracle: present, absent,
-// already deleted, and resurrected by a re-insert. The insert-heavy phase
-// drives level I/II reorganizations, leaf splits and subtree rebuilds; the
-// delete-heavy phase drives purges.
-TEST_F(AugmentedTreeTest, DeleteProbeMatchesMultisetOracle) {
-  constexpr Coord kDomain = 48;
-  std::mt19937 rng(11);
-  uint64_t next_id = 0;
-  auto fresh = [&] {
-    Coord x = static_cast<Coord>(rng() % kDomain);
-    Coord y = x + static_cast<Coord>(rng() % kDomain);
-    return Point{x, y, next_id++};
-  };
-  std::vector<Point> initial;
-  for (int i = 0; i < 3 * static_cast<int>(kB * kB); ++i) {
-    initial.push_back(fresh());
-  }
-  auto built = AugmentedMetablockTree::Build(&pager_, initial);
-  ASSERT_TRUE(built.ok());
-  AugmentedMetablockTree& tree = *built;
-  PointOracle oracle(initial);
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-
-  std::vector<Point> deleted;  // tombstoned or purged: re-delete / re-insert
-  size_t found_deletes = 0, missed_deletes = 0, resurrections = 0, purges = 0;
-  auto check_queries = [&] {
-    for (Coord a = 0; a <= 2 * kDomain; a += 5) {
-      std::vector<Point> got;
-      ASSERT_TRUE(tree.Query({a}, &got).ok());
-      SortPoints(&got);
-      ASSERT_EQ(got, oracle.Diagonal({a})) << "a=" << a;
-    }
-  };
-  auto run_phase = [&](int ops, uint32_t insert_pct) {
-    for (int op = 0; op < ops; ++op) {
-      if (rng() % 100 < insert_pct) {
-        Point p = fresh();
-        if (!deleted.empty() && rng() % 4 == 0) {
-          size_t k = rng() % deleted.size();
-          p = deleted[k];
-          deleted.erase(deleted.begin() + static_cast<std::ptrdiff_t>(k));
-          resurrections++;
-        }
-        ASSERT_TRUE(tree.Insert(p).ok());
-        oracle.Insert(p);
-        continue;
-      }
-      Point p;
-      switch (rng() % 4) {
-        case 0:  // same coordinates as a stored point, unknown id
-          p = oracle.points()[rng() % oracle.size()];
-          p.id = next_id++;
-          break;
-        case 1:  // already deleted (tombstoned, or purged since)
-          p = deleted.empty() ? fresh() : deleted[rng() % deleted.size()];
-          break;
-        default:  // present
-          p = oracle.points()[rng() % oracle.size()];
-          break;
-      }
-      const size_t dead_before = tree.outstanding_tombstones();
-      bool found = false;
-      ASSERT_TRUE(tree.Delete(p, &found).ok());
-      ASSERT_EQ(found, oracle.Erase(p)) << "op " << op << " point (" << p.x
-                                        << ", " << p.y << ", " << p.id << ")";
-      if (found) {
-        deleted.push_back(p);
-        found_deletes++;
-        if (tree.outstanding_tombstones() <= dead_before) purges++;
-      } else {
-        missed_deletes++;
-      }
-      ASSERT_EQ(tree.size(), oracle.size());
-    }
-  };
-  run_phase(8000, 80);
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  check_queries();
-  run_phase(5000, 10);
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  check_queries();
-  EXPECT_GT(found_deletes, 0u);
-  EXPECT_GT(missed_deletes, 0u);
-  EXPECT_GT(resurrections, 0u);
-  EXPECT_GT(purges, 0u);
-}
-
-// On tie-free input the probe reads O(1) pages per level: the control
-// page, the update page, the vertical index and one block, the children
-// chain (each chain at most two pages at B = 8).
-TEST_F(AugmentedTreeTest, DeleteProbePinsPerLevelBounded) {
-  const size_t n = 20 * kB * kB;
-  std::vector<Coord> xs(2 * n);
-  for (size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<Coord>(i);
-  std::mt19937 rng(12);
-  std::shuffle(xs.begin(), xs.end(), rng);
-  std::vector<Point> pts;
-  for (size_t i = 0; i < n; ++i) {
-    pts.push_back({xs[i], xs[i] + static_cast<Coord>(rng() % 4000), i});
-  }
-  auto built = AugmentedMetablockTree::Build(
-      &pager_, std::span<const Point>(pts).first(n / 2));
-  ASSERT_TRUE(built.ok());
-  AugmentedMetablockTree& tree = *built;
-  for (size_t i = n / 2; i < n; ++i) ASSERT_TRUE(tree.Insert(pts[i]).ok());
-  uint32_t height = 0;
-  ASSERT_TRUE(tree.CheckInvariants(&height).ok());
-  ASSERT_GE(height, 3u);
-
-  for (size_t k = 0; k < 400; ++k) {
-    const bool present = k % 2 == 0;
-    // Absent probes reuse a stored point's coordinates under a new id, or
-    // take an unused x, so they descend as deep as a hit.
-    Point p = pts[rng() % n];
-    if (!present) {
-      if (k % 4 == 1) {
-        p.id += n;
-      } else {
-        p = {xs[n + rng() % n], 0, 0};
-        p.y = p.x + static_cast<Coord>(rng() % 4000);
-      }
-    }
-    pager_.ResetStats();
-    bool found = false;
-    ASSERT_TRUE(tree.Delete(p, &found).ok());
-    const uint64_t pins = pager_.CombinedStats().pin_requests;
-    EXPECT_EQ(found, present) << "k=" << k;
-    if (found) {
-      // Resurrect so later probes see the same tree.
-      ASSERT_TRUE(tree.Insert(p).ok());
-    }
-    EXPECT_LE(pins, 8u * height + 8u)
-        << "k=" << k << " found=" << found << " height=" << height;
-  }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
 }
 
 // Parameterized: random interleavings across seeds and branching factors.

@@ -218,29 +218,6 @@ TEST_F(AugmentedThreeSidedTest, DestroyReleasesEverything) {
   EXPECT_EQ(dev_.live_pages(), 0u);
 }
 
-TEST_F(AugmentedThreeSidedTest, DuplicateXRunsSurviveSplits) {
-  // Heavy x duplication stresses the tie-free split logic.
-  AugmentedThreeSidedTree tree(&pager_);
-  PointOracle oracle;
-  std::mt19937 rng(12);
-  for (uint64_t i = 0; i < 10 * kB * kB; ++i) {
-    Point p{static_cast<Coord>(rng() % 9), static_cast<Coord>(rng() % 5000),
-            i};
-    ASSERT_TRUE(tree.Insert(p).ok());
-    oracle.Insert(p);
-  }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  for (Coord x1 = 0; x1 < 9; ++x1) {
-    for (Coord y = 0; y < 5000; y += 977) {
-      ThreeSidedQuery q{x1, x1 + 3, y};
-      std::vector<Point> got;
-      ASSERT_TRUE(tree.Query(q, &got).ok());
-      SortPoints(&got);
-      ASSERT_EQ(got, oracle.ThreeSided(q)) << q.ToString();
-    }
-  }
-}
-
 struct DynTsParam {
   uint32_t branching;
   size_t n;

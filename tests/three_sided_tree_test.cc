@@ -142,6 +142,28 @@ TEST_F(ThreeSidedTreeTest, DuplicateCoordinates) {
   }
 }
 
+// Both TS chains of every child come from running top-B^2 sets, TS-left in
+// x order and TS-right in reverse. CheckInvariants compares them with the
+// siblings' top B^2 kept by sorted merge; few distinct y values make the
+// tie-break decide the cut.
+TEST_F(ThreeSidedTreeTest, TsChainsAreTopB2OfSiblings) {
+  for (uint32_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937 rng(seed);
+    std::vector<Point> points;
+    const size_t n = (10 + 10 * seed) * kB * kB;
+    for (uint64_t i = 0; i < n; ++i) {
+      points.push_back({static_cast<Coord>(rng() % 400),
+                        static_cast<Coord>(rng() % (seed * 3)), i});
+    }
+    BlockDevice dev(PageSizeForBranching(kB));
+    Pager pager(&dev, 0);
+    auto tree = ThreeSidedTree::Build(&pager, points);
+    ASSERT_TRUE(tree.ok());
+    Status s = tree->CheckInvariants();
+    EXPECT_TRUE(s.ok()) << "seed=" << seed << ": " << s.message();
+  }
+}
+
 TEST_F(ThreeSidedTreeTest, SpaceIsLinear) {
   const size_t n = 40 * kB * kB;
   auto points = RandomPoints(n, 100000, 8);

@@ -434,7 +434,7 @@ TEST(ExactIoGolden, AugmentedThreeSidedTree) {
                    MakeTrace(0x20), GoldenThreeSidedQueries()),
                {{1216, 3042, 3042},
                 {17534, 16493, 14007},
-                {10134, 0, 0},
+                {7351, 0, 0},
                 {6238, 0, 0},
                 {2266, 1502, 1502}});
 }
