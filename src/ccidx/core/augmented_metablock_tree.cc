@@ -15,7 +15,7 @@ Status AugmentedMetablockTree::QueryRaw(const DiagonalQuery& q,
   CCIDX_RETURN_IF_ERROR(LoadControl(root_, &ctrl));
   while (true) {
     CCIDX_RETURN_IF_ERROR(ReportNode(ctrl, corner, em));
-    if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
+    if (ctrl.own.num_children == 0 || em.stopped()) return Status::OK();
 
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(ReadChildren(ctrl, &children));

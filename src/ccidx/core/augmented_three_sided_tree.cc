@@ -11,7 +11,7 @@ Status AugmentedThreeSidedTree::LeftPath(PageId id, Coord xlo, Coord ylo,
     Control ctrl;
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
     CCIDX_RETURN_IF_ERROR(ReportNode(ctrl, {xlo, kCoordMax, ylo}, em));
-    if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
+    if (ctrl.own.num_children == 0 || em.stopped()) return Status::OK();
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(ReadChildren(ctrl, &children));
     size_t j = children.size();
@@ -59,7 +59,7 @@ Status AugmentedThreeSidedTree::RightPath(PageId id, Coord xhi, Coord ylo,
     Control ctrl;
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
     CCIDX_RETURN_IF_ERROR(ReportNode(ctrl, {kCoordMin, xhi, ylo}, em));
-    if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
+    if (ctrl.own.num_children == 0 || em.stopped()) return Status::OK();
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(ReadChildren(ctrl, &children));
     size_t j = children.size();
@@ -105,7 +105,7 @@ Status AugmentedThreeSidedTree::QueryRaw(const ThreeSidedQuery& q,
     Control ctrl;
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
     CCIDX_RETURN_IF_ERROR(ReportNode(ctrl, q, em));
-    if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
+    if (ctrl.own.num_children == 0 || em.stopped()) return Status::OK();
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(ReadChildren(ctrl, &children));
     size_t jl = children.size(), jr = children.size();

@@ -208,7 +208,7 @@ MetablockEngine<Family>::BuildNode(Pager* pager, PointGroup group,
     auto ids = io.WriteChain<ChildEntry>(entries);
     CCIDX_RETURN_IF_ERROR(ids.status());
     ctrl.children_head = ids->empty() ? kInvalidPageId : ids->front();
-    ctrl.num_children = static_cast<uint32_t>(entries.size());
+    ctrl.own.num_children = static_cast<uint32_t>(entries.size());
     // Non-leaves carry a TD buffer page (initially empty).
     ctrl.td_update_page = pager->Allocate();
     CCIDX_RETURN_IF_ERROR(io.WriteRecords<Point>(ctrl.td_update_page, {}));
@@ -409,10 +409,10 @@ Status MetablockEngine<Family>::LevelTwoInternal(Control* ctrl,
   auto ids = io.WriteChain<ChildEntry>(children);
   CCIDX_RETURN_IF_ERROR(ids.status());
   ctrl->children_head = ids->front();
-  ctrl->num_children = static_cast<uint32_t>(children.size());
+  ctrl->own.num_children = static_cast<uint32_t>(children.size());
 
   result->structural = true;  // this node performed a level II
-  if (ctrl->num_children >= 2 * branching_) {
+  if (ctrl->own.num_children >= 2 * branching_) {
     // Branching overflow: the caller rebuilds this subtree wholesale, which
     // refreshes every TS below; skip the redundant reorganization.
     return Status::OK();
@@ -432,7 +432,7 @@ MetablockEngine<Family>::AddPoints(PageId id, std::vector<Point> pts) {
   const uint32_t b2 = metablock_capacity();
 
   AddResult res;
-  if (ctrl.num_children > 0) {
+  if (ctrl.own.num_children > 0) {
     // --- Internal node ---
     std::vector<Point> upd;
     CCIDX_RETURN_IF_ERROR(ReadUpdatePoints(ctrl, &upd));
@@ -450,7 +450,7 @@ MetablockEngine<Family>::AddPoints(PageId id, std::vector<Point> pts) {
         upd.clear();
         if (ctrl.own.num_points >= 2 * b2) {
           CCIDX_RETURN_IF_ERROR(LevelTwoInternal(&ctrl, &res));
-          if (ctrl.num_children >= 2 * branching_) needs_rebuild = true;
+          if (ctrl.own.num_children >= 2 * branching_) needs_rebuild = true;
         }
       }
     }
@@ -662,7 +662,7 @@ Status MetablockEngine<Family>::Locate(PageId id, const Point& p,
       if (*found) return Status::OK();
     }
   }
-  if (ctrl.num_children == 0 || ctrl.desc_ymax < p.y) return Status::OK();
+  if (ctrl.own.num_children == 0 || ctrl.desc_ymax < p.y) return Status::OK();
   std::vector<ChildEntry> children;
   CCIDX_RETURN_IF_ERROR(ReadChildren(ctrl, &children));
   // Points reach a child by RouteChild, but in the diagonal family a bulk
@@ -774,7 +774,7 @@ Status MetablockEngine<Family>::ReportSubtree(PageId id, Coord ylo,
   // Descend iff some strict descendant can qualify (watermark rule; see
   // the header comment — push-downs may break the static heap order, so
   // the static "stop when crossed" rule alone would be incorrect here).
-  if (ctrl.num_children == 0 || ctrl.desc_ymax < ylo || em.stopped()) {
+  if (ctrl.own.num_children == 0 || ctrl.desc_ymax < ylo || em.stopped()) {
     return Status::OK();
   }
   std::vector<ChildEntry> children;
@@ -819,7 +819,7 @@ Status MetablockEngine<Family>::CollectSubtree(
   Control ctrl;
   CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
   CCIDX_RETURN_IF_ERROR(ReadStored(ctrl, out));
-  if (ctrl.num_children == 0) return Status::OK();
+  if (ctrl.own.num_children == 0) return Status::OK();
   std::vector<ChildEntry> children;
   CCIDX_RETURN_IF_ERROR(ReadChildren(ctrl, &children));
   for (const ChildEntry& c : children) {
@@ -844,7 +844,7 @@ Status MetablockEngine<Family>::DestroySubtree(PageId id) {
     CCIDX_RETURN_IF_ERROR(pager_->Free(ctrl.td_update_page));
   }
   CCIDX_RETURN_IF_ERROR(FreeSide(pager_, Family::kSide, ctrl.td_header));
-  if (ctrl.num_children > 0) {
+  if (ctrl.own.num_children > 0) {
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(ReadChildren(ctrl, &children));
     for (const ChildEntry& c : children) {
@@ -872,7 +872,7 @@ Status MetablockEngine<Family>::VisitSubtreePages(
     out->push_back(ctrl.td_update_page);
   }
   CCIDX_RETURN_IF_ERROR(VisitSide(pager_, Family::kSide, ctrl.td_header, out));
-  if (ctrl.num_children > 0) {
+  if (ctrl.own.num_children > 0) {
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(ReadChildren(ctrl, &children));
     for (const ChildEntry& c : children) {
@@ -909,15 +909,15 @@ Status MetablockEngine<Family>::CheckSubtree(PageId id, Coord* node_ymax_out,
   CCIDX_RETURN_IF_ERROR(ctrl.own.Check(pager_, Family::kSide, &own));
   // Only a 3-sided leaf whose points share one x may stay oversized: a
   // tie-free split cannot cut it.
-  const bool unsplittable = Family::kTieFreeSplit && ctrl.num_children == 0 &&
+  const bool unsplittable = Family::kTieFreeSplit && ctrl.own.num_children == 0 &&
                             ctrl.own.bbox_xmin == ctrl.own.bbox_xmax;
   if (ctrl.own.num_points >= 2 * b2 && !unsplittable) {
     return Status::Corruption("metablock at or above 2B^2");
   }
-  if (ctrl.num_children > 0 && ctrl.own.num_points < b2) {
+  if (ctrl.own.num_children > 0 && ctrl.own.num_points < b2) {
     return Status::Corruption("internal metablock below B^2");
   }
-  if (ctrl.num_children >= 2 * branching_) {
+  if (ctrl.own.num_children >= 2 * branching_) {
     return Status::Corruption("branching factor at or above 2B");
   }
   std::vector<Point> upd;
@@ -941,7 +941,7 @@ Status MetablockEngine<Family>::CheckSubtree(PageId id, Coord* node_ymax_out,
   uint64_t count = own.size() + upd.size();
   Coord desc_actual = kCoordMin;
   uint32_t child_height = 0;
-  if (ctrl.num_children > 0) {
+  if (ctrl.own.num_children > 0) {
     if (ctrl.td_update_page == kInvalidPageId) {
       return Status::Corruption("internal node lacks TD buffer");
     }
@@ -950,7 +950,7 @@ Status MetablockEngine<Family>::CheckSubtree(PageId id, Coord* node_ymax_out,
     }
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(ReadChildren(ctrl, &children));
-    if (children.size() != ctrl.num_children) {
+    if (children.size() != ctrl.own.num_children) {
       return Status::Corruption("children count mismatch");
     }
     // With TD empty nothing was pushed into the children since their TS

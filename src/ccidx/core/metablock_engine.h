@@ -72,8 +72,8 @@ class AugmentedThreeSidedTree;
 /// Control record of one metablock of either augmented tree (one page).
 struct AugmentedControl {
   OwnOrganization own;  // merged (organized) own points
-  uint32_t num_children;
   uint32_t update_count;  // points in update_page
+  uint32_t td_update_count;
   Coord sub_xlo, sub_xhi;  // subtree x-interval
   uint64_t children_head;  // chain of the family's ChildEntry
   uint64_t ts_left_head;   // TS over left siblings, maintained by the parent
@@ -82,8 +82,8 @@ struct AugmentedControl {
   uint64_t update_page;    // one page of buffered inserts (always valid)
   uint64_t td_update_page;  // one page buffering TD additions (non-leaf)
   uint64_t td_header;       // TD side structure (kInvalidPageId when empty)
-  uint32_t td_update_count;
   uint32_t td_count;        // points inside td_header
+  uint32_t pad;
   Coord update_ymax;  // max y among buffered inserts (kCoordMin if none)
   Coord desc_ymax;    // max y among strict descendants
   Coord node_ymax;    // max(own bbox_ymax, update_ymax, desc_ymax)

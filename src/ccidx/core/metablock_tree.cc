@@ -75,7 +75,7 @@ Result<MetablockTree::BuiltNode> MetablockTree::BuildNode(
     auto ids = io.WriteChain<ChildEntry>(child_entries);
     CCIDX_RETURN_IF_ERROR(ids.status());
     ctrl.children_head = ids->empty() ? kInvalidPageId : ids->front();
-    ctrl.num_children = static_cast<uint32_t>(child_entries.size());
+    ctrl.own.num_children = static_cast<uint32_t>(child_entries.size());
   }
 
   // Own-point organizations: bbox, vertical and horizontal blockings, and
@@ -141,7 +141,7 @@ Status MetablockTree::ReportSubtree(PageId control_id, Coord a,
   // chain (all own points inside — Type III), descendants may qualify too.
   auto crossed = ScanDescYChain(pager_, ctrl.own.horiz_head, a, em);
   CCIDX_RETURN_IF_ERROR(crossed.status());
-  if (*crossed || ctrl.num_children == 0 || em.stopped()) {
+  if (*crossed || ctrl.own.num_children == 0 || em.stopped()) {
     return Status::OK();
   }
   PageIo io(pager_);
@@ -181,7 +181,7 @@ Status MetablockTree::Query(const DiagonalQuery& q,
   while (true) {
     CCIDX_RETURN_IF_ERROR(
         ctrl.own.Report(pager_, Side(options_), {kCoordMin, a, a}, em));
-    if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
+    if (ctrl.own.num_children == 0 || em.stopped()) return Status::OK();
 
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(io.ReadChain<ChildEntry>(ctrl.children_head,
@@ -326,7 +326,7 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
   std::vector<Point> own;
   CCIDX_RETURN_IF_ERROR(ctrl.own.Check(pager_, Side(options_), &own));
   const uint32_t b2 = branching_ * branching_;
-  if (ctrl.num_children > 0 && ctrl.own.num_points != b2) {
+  if (ctrl.own.num_children > 0 && ctrl.own.num_points != b2) {
     return Status::Corruption("internal metablock must hold exactly B^2");
   }
   if (ctrl.own.num_points > 2 * b2) {
@@ -341,11 +341,11 @@ Status MetablockTree::CheckSubtree(PageId control_id, Coord parent_min_y,
     }
   }
 
-  if (ctrl.num_children > 0) {
+  if (ctrl.own.num_children > 0) {
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(io.ReadChain<ChildEntry>(ctrl.children_head,
                                                    &children));
-    if (children.size() != ctrl.num_children) {
+    if (children.size() != ctrl.own.num_children) {
       return Status::Corruption("children count mismatch");
     }
     TsChainChecker ts(b2);

@@ -151,8 +151,6 @@ class MetablockTree {
   // control information", Thm. 3.2 proof).
   struct Control {
     OwnOrganization own;      // bbox, blockings, corner structure
-    uint32_t num_children;
-    uint32_t pad;
     Coord sub_xlo, sub_xhi;   // subtree x-interval
     uint64_t children_head;   // chain of ChildEntry
     uint64_t ts_head;         // TS(this): desc-y chain (kInvalid at root /

@@ -56,7 +56,9 @@ Status QuerySide(Pager* pager, SideKind kind, PageId root,
 /// A metablock's organized own points, embedded in its control record.
 struct OwnOrganization {
   uint32_t num_points;
-  uint32_t pad;
+  // The owning metablock's child count: not part of the organization,
+  // kept in this otherwise padded word so control records stay compact.
+  uint32_t num_children;
   Coord bbox_xmin, bbox_xmax, bbox_ymin, bbox_ymax;
   uint64_t vindex_head;  // vertical blocking index chain
   uint64_t horiz_head;   // descending-y chain: the one primary copy

@@ -75,7 +75,7 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
     auto ids = io.WriteChain<ChildEntry>(entries);
     CCIDX_RETURN_IF_ERROR(ids.status());
     ctrl.children_head = ids->empty() ? kInvalidPageId : ids->front();
-    ctrl.num_children = static_cast<uint32_t>(entries.size());
+    ctrl.own.num_children = static_cast<uint32_t>(entries.size());
   }
 
   CCIDX_RETURN_IF_ERROR(ctrl.own.Organize(pager, SideKind::kPst, &own));
@@ -85,6 +85,8 @@ Result<ThreeSidedTree::BuiltNode> ThreeSidedTree::BuildNode(
 
 Result<ThreeSidedTree> ThreeSidedTree::Build(Pager* pager,
                                              PointGroup points) {
+  // The control record fits the smallest page the tree accepts (B = 4).
+  static_assert(sizeof(Control) <= PageIo::kHeaderSize + 4 * sizeof(Point));
   PageIo io(pager);
   const uint32_t branching = io.CapacityFor(sizeof(Point));
   if (branching < 4 || sizeof(Control) > pager->page_size()) {
@@ -132,7 +134,7 @@ Status ThreeSidedTree::ReportSubtree(PageId id, Coord ylo,
   CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
   auto crossed = ScanDescYChain(pager_, ctrl.own.horiz_head, ylo, em);
   CCIDX_RETURN_IF_ERROR(crossed.status());
-  if (*crossed || ctrl.num_children == 0 || em.stopped()) {
+  if (*crossed || ctrl.own.num_children == 0 || em.stopped()) {
     return Status::OK();
   }
   return DescendMiddle(ctrl, ylo, em);
@@ -165,7 +167,7 @@ Status ThreeSidedTree::LeftPath(PageId id, Coord xlo, Coord ylo,
           ctrl.own.Report(pager_, SideKind::kPst, {xlo, kCoordMax, ylo}, em));
     }
     skip_own = false;
-    if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
+    if (ctrl.own.num_children == 0 || em.stopped()) return Status::OK();
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(
         io.ReadChain<ChildEntry>(ctrl.children_head, &children));
@@ -216,7 +218,7 @@ Status ThreeSidedTree::RightPath(PageId id, Coord xhi, Coord ylo,
           ctrl.own.Report(pager_, SideKind::kPst, {kCoordMin, xhi, ylo}, em));
     }
     skip_own = false;
-    if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
+    if (ctrl.own.num_children == 0 || em.stopped()) return Status::OK();
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(
         io.ReadChain<ChildEntry>(ctrl.children_head, &children));
@@ -262,7 +264,7 @@ Status ThreeSidedTree::Query(const ThreeSidedQuery& q,
     Control ctrl;
     CCIDX_RETURN_IF_ERROR(LoadControl(id, &ctrl));
     CCIDX_RETURN_IF_ERROR(ctrl.own.Report(pager_, SideKind::kPst, q, em));
-    if (ctrl.num_children == 0 || em.stopped()) return Status::OK();
+    if (ctrl.own.num_children == 0 || em.stopped()) return Status::OK();
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(
         io.ReadChain<ChildEntry>(ctrl.children_head, &children));
@@ -293,7 +295,7 @@ Status ThreeSidedTree::Query(const ThreeSidedQuery& q,
       if (children[m].ymin >= q.ylo) {
         Control mc;
         CCIDX_RETURN_IF_ERROR(LoadControl(children[m].control, &mc));
-        if (mc.num_children > 0) {
+        if (mc.own.num_children > 0) {
           CCIDX_RETURN_IF_ERROR(DescendMiddle(mc, q.ylo, em));
         }
       }
@@ -324,7 +326,7 @@ Status ThreeSidedTree::ScanSubtree(PageId id, SinkEmitter<Point>& em) const {
   // Own points live exactly once in the horizontal chain; the PSTs, TS
   // chains, and vertical blockings hold copies.
   CCIDX_RETURN_IF_ERROR(EmitChain<Point>(pager_, ctrl.own.horiz_head, em));
-  if (ctrl.num_children > 0 && !em.stopped()) {
+  if (ctrl.own.num_children > 0 && !em.stopped()) {
     std::vector<ChildEntry> children;
     PageIo io(pager_);
     CCIDX_RETURN_IF_ERROR(
@@ -353,7 +355,7 @@ Status ThreeSidedTree::DestroySubtree(PageId id) {
   }
   CCIDX_RETURN_IF_ERROR(
       FreeSide(pager_, SideKind::kPst, ctrl.children_pst_root));
-  if (ctrl.num_children > 0) {
+  if (ctrl.own.num_children > 0) {
     std::vector<ChildEntry> children;
     CCIDX_RETURN_IF_ERROR(
         io.ReadChain<ChildEntry>(ctrl.children_head, &children));
@@ -382,7 +384,7 @@ Status ThreeSidedTree::CheckSubtree(PageId id, Coord parent_min_y,
 
   std::vector<Point> own;
   CCIDX_RETURN_IF_ERROR(ctrl.own.Check(pager_, SideKind::kPst, &own));
-  if (ctrl.num_children > 0 && ctrl.own.num_points != b2) {
+  if (ctrl.own.num_children > 0 && ctrl.own.num_points != b2) {
     return Status::Corruption("internal metablock must hold exactly B^2");
   }
   for (const Point& p : own) {
@@ -394,14 +396,14 @@ Status ThreeSidedTree::CheckSubtree(PageId id, Coord parent_min_y,
     }
   }
   *count += own.size();
-  if (ctrl.num_children == 0) return Status::OK();
+  if (ctrl.own.num_children == 0) return Status::OK();
   if (ctrl.children_pst_root == kInvalidPageId) {
     return Status::Corruption("missing children PST");
   }
   std::vector<ChildEntry> children;
   CCIDX_RETURN_IF_ERROR(
       io.ReadChain<ChildEntry>(ctrl.children_head, &children));
-  if (children.size() != ctrl.num_children) {
+  if (children.size() != ctrl.own.num_children) {
     return Status::Corruption("children count mismatch");
   }
   // Every child's TS-left must be the top B^2 of its left siblings' own

@@ -95,8 +95,6 @@ class ThreeSidedTree {
  private:
   struct Control {
     OwnOrganization own;     // side structure: Lemma 4.1 PST
-    uint32_t num_children;
-    uint32_t pad;
     Coord sub_xlo, sub_xhi;
     uint64_t children_head;
     uint64_t ts_left_head;   // top B^2 of LEFT siblings (right path fence)

@@ -264,7 +264,8 @@ TEST_P(ThreeSidedSweep, OracleEquivalence) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ThreeSidedSweep,
-    ::testing::Values(TsParam{6, 300, 1}, TsParam{6, 2000, 2},
+    ::testing::Values(TsParam{4, 1000, 7}, TsParam{6, 300, 1},
+                      TsParam{6, 2000, 2},
                       TsParam{8, 1000, 3}, TsParam{8, 8000, 4},
                       TsParam{16, 5000, 5}, TsParam{16, 20000, 6}));
 
